@@ -11,6 +11,8 @@ import itertools
 import json
 import logging
 import math
+import operator
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -144,6 +146,11 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
     return records
 
 
+def _centred(values: Sequence[float]) -> list[float]:
+    mean = math.fsum(values) / len(values)
+    return [v - mean for v in values]
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length lists.
 
@@ -155,10 +162,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("pearson requires at least two points")
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
+    dx = _centred(xs)
+    dy = _centred(ys)
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
     if sxx == 0.0 or syy == 0.0:
@@ -250,8 +255,10 @@ def _prepare_segments(
 
 
 def _segment_score(segment: _PreparedSegment, params: SwssParams) -> float:
+    # A fallback segment's F1 is omega itself, so one prepared list serves
+    # every omega of a grid search.
     structural = penalized_score(
-        segment.f1,
+        params.omega if segment.fallback_used else segment.f1,
         segment.fallback_used,
         segment.p_scene,
         segment.p_node,
@@ -262,17 +269,21 @@ def _segment_score(segment: _PreparedSegment, params: SwssParams) -> float:
     return segment.base_score + params.beta * structural
 
 
-def _correlations(
-    prepared: Sequence[_PreparedSegment], params: SwssParams
-) -> tuple[dict[str, float], dict[str, float], dict[str, int]]:
+def _by_pair(prepared: Sequence[_PreparedSegment]) -> dict[str, list[_PreparedSegment]]:
+    # Segments grouped by language pair, the pairs in sorted order.
     by_pair: dict[str, list[_PreparedSegment]] = {}
     for segment in prepared:
         by_pair.setdefault(segment.lang_pair, []).append(segment)
+    return {lang_pair: by_pair[lang_pair] for lang_pair in sorted(by_pair)}
+
+
+def _correlations(
+    prepared: Sequence[_PreparedSegment], params: SwssParams
+) -> tuple[dict[str, float], dict[str, float], dict[str, int]]:
     per_pair: dict[str, float] = {}
     base_per_pair: dict[str, Optional[float]] = {}
     counts: dict[str, int] = {}
-    for lang_pair in sorted(by_pair):
-        segments = by_pair[lang_pair]
+    for lang_pair, segments in _by_pair(prepared).items():
         combined = [_segment_score(s, params) for s in segments]
         human = [s.human_score for s in segments]
         bases = [s.base_score for s in segments]
@@ -328,7 +339,7 @@ def evaluate(
 
 @dataclass(frozen=True)
 class TuneGrid:
-    """Value lists for the exhaustive parameter sweep.
+    """Value lists for the parameter grid search.
 
     Lists are sorted internally, so the search visits points in
     lexicographic order and ties resolve to the smallest parameter vector.
@@ -371,37 +382,180 @@ class TuneGrid:
         return cls(**{k: tuple(v) for k, v in data.items()})
 
 
+# Screening bounds of the closed-form grid search. Every point whose
+# estimate could come within _SCREEN_FLOOR of the best one, given a
+# rounding bound of _ROUNDING per unit of conditioning, is re-checked
+# exactly; a pair whose metric variance is below _DEGENERATE times the
+# sum of its non-negative terms counts as constant and is re-checked too.
+_SCREEN_FLOOR = 1e-9
+_DEGENERATE = 1e-9
+_ROUNDING = 64 * sys.float_info.epsilon
+
+
+@dataclass(frozen=True)
+class _PairSums:
+    # Centred columns and the sums of one language pair that do not
+    # depend on the alphas: b is the base, h the human score, u the
+    # fallback flag; bh is sum(db * dh) and so on.
+    lo: int
+    hi: int
+    dh: list
+    db: list
+    du: list
+    hh: float
+    bh: float
+    uh: float
+    bb: float
+    uu: float
+    bu: float
+    top_base: float
+
+
+def _dot(xs, ys) -> float:
+    return sum(map(operator.mul, xs, ys))
+
+
+def _alpha_sweep(f1: list, tables: list):
+    """Yield ``(alphas, scores)`` over the alpha grid in lexicographic
+    order, where ``scores[i]`` is segment i's F1 times its four penalty
+    factors; partial products are shared between neighbouring tuples."""
+
+    def walk(prefix, partial, level):
+        if level == len(tables):
+            yield prefix, partial
+            return
+        for alpha, factors in tables[level]:
+            yield from walk(prefix + (alpha,), list(map(operator.mul, partial, factors)), level + 1)
+
+    return walk((), f1, 0)
+
+
+def _estimate(sums: list, beta: float, omega: float) -> tuple[float, float]:
+    """Closed-form average Pearson r of ``b + beta*s + beta*omega*u`` and a
+    bound on its distance from the exact per-point value; ``(nan, inf)``
+    when some pair's metric is constant or nearly so."""
+    bw = beta * omega
+    total = 0.0
+    slack = 0.0
+    for pair, sh, ss, sb, su in sums:
+        sxy = pair.bh + beta * sh + bw * pair.uh
+        spread = pair.bb + beta * beta * ss + bw * bw * pair.uu
+        sxx = spread + 2.0 * (beta * sb + bw * pair.bu + beta * bw * su)
+        # Bounds |metric| (s and omega are at most 1); rounding at that
+        # magnitude can collapse a tiny spread to a constant.
+        top = pair.top_base + 2.0 * beta
+        n = pair.hi - pair.lo
+        if not sxx > _DEGENERATE * spread + n * (16 * sys.float_info.epsilon * top) ** 2:
+            return math.nan, math.inf
+        total += sxy / math.sqrt(sxx * pair.hh)
+        slack += 1.0 + spread / sxx + top * math.sqrt(n / sxx)
+    return total / len(sums), _SCREEN_FLOOR + _ROUNDING * slack / len(sums)
+
+
+def _screen(prepared: Sequence[_PreparedSegment], grid: "TuneGrid") -> list[tuple]:
+    """Grid vectors, in lexicographic order, whose exact objective may be
+    the maximum or may raise.
+
+    With the alphas fixed, the combined metric of a pair is ``b + beta*s +
+    beta*omega*u``, where s is the penalized F1 (0 on fallback segments)
+    and u the fallback flag, so every Pearson r follows from a few sums.
+    """
+    points = itertools.product(
+        grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4, grid.beta, grid.omega
+    )
+    pairs: list[_PairSums] = []
+    segments: list[_PreparedSegment] = []
+    for group in _by_pair(prepared).values():
+        dh = _centred([s.human_score for s in group])
+        hh = math.fsum(d * d for d in dh)
+        if len(group) < 2 or hh == 0.0:
+            # Pearson raises at every point, so the first one tells how.
+            return [next(points)]
+        bases = [s.base_score for s in group]
+        db = _centred(bases)
+        du = _centred([float(s.fallback_used) for s in group])
+        pairs.append(
+            _PairSums(
+                lo=len(segments), hi=len(segments) + len(group), dh=dh, db=db, du=du,
+                hh=hh, bh=_dot(db, dh), uh=_dot(du, dh), bb=_dot(db, db), uu=_dot(du, du),
+                bu=_dot(db, du), top_base=max(map(abs, bases)),
+            )
+        )
+        segments.extend(group)
+
+    f1 = [0.0 if s.fallback_used else s.f1 for s in segments]
+    columns = (
+        [s.p_scene for s in segments],
+        [s.p_node for s in segments],
+        [s.p_edge for s in segments],
+        [s.len_penalty for s in segments],
+    )
+    tables = [
+        [(alpha, [math.exp(-alpha * p) for p in column]) for alpha in values]
+        for values, column in zip((grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4), columns)
+    ]
+
+    lower = -math.inf  # the best lower bound on any point's exact objective
+    candidates: list[tuple[float, tuple]] = []
+    prune_at = 64
+    for alphas, scores in _alpha_sweep(f1, tables):
+        sums = []
+        for pair in pairs:
+            column = scores[pair.lo : pair.hi]
+            mean = sum(column) / len(column)
+            ds = [x - mean for x in column]
+            sums.append((pair, _dot(ds, pair.dh), _dot(ds, ds), _dot(ds, pair.db), _dot(ds, pair.du)))
+        for beta in grid.beta:
+            for omega in grid.omega:
+                estimate, error = _estimate(sums, beta, omega)
+                upper = estimate + error
+                if upper < math.inf:
+                    lower = max(lower, estimate - error)
+                else:
+                    upper = math.inf  # also for nan: unknown, so re-check
+                if upper >= lower:
+                    candidates.append((upper, (*alphas, beta, omega)))
+        if len(candidates) > prune_at:
+            candidates = [c for c in candidates if c[0] >= lower]
+            prune_at = 2 * len(candidates) + 64
+    return [vector for upper, vector in candidates if upper >= lower]
+
+
 def grid_search(
     records: Sequence[SegmentRecord],
     grid: TuneGrid,
     base: Union[str, ExternalScoreTable] = "bleu",
     strict: bool = False,
 ) -> tuple[SwssParams, float]:
-    """Exhaustively evaluate the Cartesian grid and return the argmax.
+    """Search the Cartesian grid and return the argmax.
 
     The objective is the unweighted average Pearson correlation over
     language pairs of the combined metric. Graphs are parsed and scored
-    once; only the scalar parameters vary across grid points. Ties go to
-    the lexicographically smallest (alpha1..alpha4, beta, omega) vector.
+    once; only the scalar parameters vary across grid points. Each
+    point's objective is first estimated in closed form from per-pair
+    sums, which costs O(segments) per alpha tuple and O(1) per (beta,
+    omega); the points whose estimate lies near the best one, and any
+    whose metric looks constant, are then recomputed exactly. The result
+    is the exhaustive search's: ties go to the lexicographically smallest
+    (alpha1..alpha4, beta, omega) vector, and a point where the metric is
+    constant in some language pair raises DatasetError.
     """
     if not records:
         raise DatasetError("no records to tune on")
     logger.info("grid search over %d parameter points", grid.size)
     prepared, _ = _prepare_segments(records, SwssParams(), base, strict)
 
+    candidates = _screen(prepared, grid)
     best_vector = None
     best_objective = -math.inf
-    for vector in itertools.product(
-        grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4, grid.beta, grid.omega
-    ):
-        params = SwssParams(*vector)
-        adjusted = [
-            s if not s.fallback_used else replace(s, f1=params.omega) for s in prepared
-        ]
-        per_pair, _, _ = _correlations(adjusted, params)
+    for vector in candidates:
+        per_pair, _, _ = _correlations(prepared, SwssParams(*vector))
         objective = _mean(per_pair.values())
         if objective > best_objective:
             best_objective = objective
             best_vector = vector
-    logger.info("grid search finished; best objective %.6f", best_objective)
+    logger.info(
+        "grid search finished; best objective %.6f (%d of %d points re-checked)",
+        best_objective, len(candidates), grid.size,
+    )
     return SwssParams(*best_vector), best_objective

@@ -319,8 +319,12 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
                 pos = attrs.get("paragraph_position")
                 if text is None or pos is None:
                     raise GraphError(f"terminal {node_id!r} lacks text or position")
-                para = int(attrs.get("paragraph", "1"))
-                terminal_entries.append((para, int(pos), node_id, text))
+                try:
+                    para = int(attrs.get("paragraph", "1"))
+                    position = int(pos)
+                except ValueError:
+                    raise GraphError(f"terminal {node_id!r}: paragraph and position must be integers") from None
+                terminal_entries.append((para, position, node_id, text))
         elif layer_id == "1":
             for node in layer.iter("node"):
                 node_id = node.get("ID")
@@ -434,8 +438,10 @@ def parse_ucca_json(document: Union[bytes, str], lenient: bool = False) -> UccaG
     """
     try:
         obj = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GraphError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise GraphError("malformed JSON: nested too deeply") from None
     return graph_from_dict(obj, lenient=lenient)
 
 

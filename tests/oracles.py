@@ -3,10 +3,13 @@
 These deliberately share no code with the library: the matching oracle is
 an exhaustive subset search, the BLEU oracle uses explicit n-gram lists
 and the product form of the geometric mean, and the correlation oracle
-uses the raw-moment formula.
+uses the raw-moment formula. The grid-search oracle is the exception:
+it is the exhaustive loop the fast search must agree with point for point.
 """
 
+import itertools
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 
@@ -72,3 +75,30 @@ def reference_pearson(xs, ys):
     sxx = sum(x * x for x in xs)
     syy = sum(y * y for y in ys)
     return (n * sxy - sx * sy) / math.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
+
+
+def grid_search_bruteforce(records, grid, base="bleu"):
+    """Exhaustive grid search: the exact objective at every point.
+
+    This is the per-point loop the closed-form search in
+    ``swss.harness.grid_search`` replaced; it reuses the library's
+    segment preparation and per-point correlation on purpose, so the two
+    differ only in how they pick the points to evaluate exactly.
+    """
+    from swss.harness import _correlations, _mean, _prepare_segments
+    from swss.scoring import SwssParams
+
+    prepared, _ = _prepare_segments(records, SwssParams(), base, strict=False)
+    best_vector = None
+    best_objective = -math.inf
+    for vector in itertools.product(
+        grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4, grid.beta, grid.omega
+    ):
+        params = SwssParams(*vector)
+        adjusted = [s if not s.fallback_used else replace(s, f1=params.omega) for s in prepared]
+        per_pair, _, _ = _correlations(adjusted, params)
+        objective = _mean(per_pair.values())
+        if objective > best_objective:
+            best_objective = objective
+            best_vector = vector
+    return SwssParams(*best_vector), best_objective

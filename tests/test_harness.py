@@ -2,13 +2,14 @@ import dataclasses
 import itertools
 import json
 import logging
+import tempfile
 
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_pearson
+from oracles import grid_search_bruteforce, reference_pearson
 from swss.errors import DatasetError
 from swss.harness import TuneGrid, evaluate, grid_search, load_dataset, pearson
 from swss.lexical import ExternalScoreTable, sentence_bleu
@@ -174,9 +175,9 @@ class TestLoadDataset:
         assert report.n == {"cs-en": 500}
 
 
-def zero_table(records):
+def constant_table(records, value=0.0):
     return ExternalScoreTable(
-        metric_name="zero", rows={(r.system, r.segment_id): 0.0 for r in records}
+        metric_name="constant", rows={(r.system, r.segment_id): value for r in records}
     )
 
 
@@ -191,7 +192,7 @@ class TestEvaluate:
             )
             for r in records
         ]
-        report = evaluate(scored, params, base=zero_table(scored))
+        report = evaluate(scored, params, base=constant_table(scored))
         for lang_pair, r in report.per_pair.items():
             assert r == pytest.approx(1.0, abs=1e-12), lang_pair
         assert report.average == pytest.approx(1.0, abs=1e-12)
@@ -393,3 +394,79 @@ class TestGridSearch:
         best, objective = grid_search(tweaked, singleton_grid(omega=(0.0, 1.0)))
         assert objective == max(lo, hi)
         assert best.omega == (0.0 if lo >= hi else 1.0)
+
+    def test_recheck_count_logged(self, records, caplog):
+        with caplog.at_level(logging.INFO):
+            grid_search(records, singleton_grid(alpha1=(0.0, 0.2)))
+        assert "re-checked" in caplog.text
+        assert "of 2 points re-checked" in caplog.text
+
+
+def axis(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=3)
+
+
+def outcome(search, records, grid, base):
+    try:
+        return search(records, grid, base)
+    except DatasetError as exc:
+        return str(exc)
+
+
+class TestGridSearchOracle:
+    """The closed-form screen plus exact re-check must reproduce the
+    exhaustive per-point search bit for bit, errors included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_segments=st.integers(2, 10),
+        two_pairs=st.booleans(),
+        noise=st.sampled_from([0.0, 0.05]),
+        self_pairs=st.booleans(),
+        constant_base=st.sampled_from([None, 0.25, 0.3]),
+        seed=st.integers(0, 10_000),
+        grid=st.builds(
+            TuneGrid,
+            alpha1=axis([0.0, 0.1, 1.0]),
+            alpha2=axis([0.0, 0.5, 2.0]),
+            alpha3=axis([0.0, 0.2, 1.0]),
+            alpha4=axis([0.0, 0.01, 0.5]),
+            beta=axis([0.0, 0.2, 1.0]),
+            omega=axis([0.0, 0.5, 1.0]),
+        ),
+    )
+    def test_matches_bruteforce(self, n_segments, two_pairs, noise, self_pairs, constant_base, seed, grid):
+        lang_pairs = ("aa-en", "bb-en") if two_pairs else ("aa-en",)
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = write_synthetic_dataset(tmp, n_segments, lang_pairs=lang_pairs, seed=seed, noise=noise)
+            records = load_dataset(manifest)
+            if self_pairs:
+                # Every ratio penalty is 0, so alpha1..alpha3 tie exactly.
+                records = [dataclasses.replace(r, candidate_ucca=r.reference_ucca) for r in records]
+            base = "bleu" if constant_base is None else constant_table(records, constant_base)
+            expected = outcome(grid_search_bruteforce, records, grid, base)
+            got = outcome(grid_search, records, grid, base)
+            assert got == expected
+            if not isinstance(got, str):
+                best, objective = got
+                assert objective == evaluate(records, best, base=base).average
+
+    def test_constant_human_scores_raise_like_bruteforce(self, records):
+        flat = [
+            dataclasses.replace(r, human_score=0.5) if r.lang_pair == "bb-en" else r for r in records
+        ]
+        grid = singleton_grid(alpha1=(0.0, 0.2), beta=(0.1, 0.2))
+        expected = outcome(grid_search_bruteforce, flat, grid, "bleu")
+        assert expected == "language pair 'bb-en': pearson is undefined for a constant input"
+        with pytest.raises(DatasetError) as info:
+            grid_search(flat, grid)
+        assert str(info.value) == expected
+
+    def test_constant_base_at_beta_zero_raises_like_bruteforce(self, records):
+        table = constant_table(records, 0.25)
+        grid = singleton_grid(alpha1=(0.0, 0.2), beta=(0.0, 0.2))
+        expected = outcome(grid_search_bruteforce, records, grid, table)
+        assert expected == "language pair 'aa-en': pearson is undefined for a constant input"
+        with pytest.raises(DatasetError) as info:
+            grid_search(records, grid, base=table)
+        assert str(info.value) == expected

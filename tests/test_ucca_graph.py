@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_graph
+from swss.cli import main
 from swss.errors import GraphError
-from swss.synthetic import random_graph
+from swss.harness import evaluate, load_dataset
+from swss.scoring import SwssParams
+from swss.synthetic import random_graph, write_synthetic_dataset
 from swss.ucca_graph import (
     Category,
     Edge,
@@ -15,6 +20,7 @@ from swss.ucca_graph import (
     build_graph,
     emit_json,
     isomorphic,
+    load_graph,
     parse_ucca_json,
     parse_ucca_json_stream,
     parse_ucca_xml,
@@ -396,3 +402,41 @@ class TestQueriesOnRandomGraphs:
         assert stripped.count_nodes() == graph.count_nodes()
         for t in graph.terminals:
             assert stripped.lowest_label(t.id) == graph.lowest_label(t.id)
+
+
+def _bad_position(figure_xml_path):
+    return figure_xml_path.read_text().replace('paragraph_position="1"', 'paragraph_position="x"', 1).encode()
+
+
+MALFORMED_FILES = {
+    "bad-position.xml": _bad_position,
+    "bad-bytes.json": lambda _: b"\xff\xfe{",
+    "deep-nesting.json": lambda _: b"[" * 100_000,
+}
+
+
+class TestMalformedFiles:
+    """Inputs that once escaped as ValueError, UnicodeDecodeError or
+    RecursionError: each must be a GraphError naming the file, which a
+    non-strict run skips and counts and the CLI reports with exit code 1."""
+
+    @pytest.fixture(params=sorted(MALFORMED_FILES))
+    def bad_file(self, request, tmp_path, figure_xml_path):
+        path = tmp_path / request.param
+        path.write_bytes(MALFORMED_FILES[request.param](figure_xml_path))
+        return path
+
+    def test_load_graph_names_the_file(self, bad_file):
+        with pytest.raises(GraphError, match=re.escape(str(bad_file))):
+            load_graph(bad_file)
+
+    def test_lenient_evaluate_skips_and_counts(self, bad_file, tmp_path):
+        records = load_dataset(write_synthetic_dataset(tmp_path / "corpus", n_segments=6, seed=5, noise=0.01))
+        mixed = [dataclasses.replace(records[0], candidate_ucca=bad_file), *records[1:]]
+        report = evaluate(mixed, SwssParams())
+        assert report.skipped == 1
+        assert report.n == {"xx-en": 5}
+
+    def test_inspect_exits_one(self, bad_file, capsys):
+        assert main(["inspect", str(bad_file)]) == 1
+        assert str(bad_file) in capsys.readouterr().err
