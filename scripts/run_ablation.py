@@ -12,9 +12,8 @@ and prints a per-language-pair comparison table:
 import argparse
 import json
 
+from swss.cli import _load_params, _resolve_base
 from swss.harness import ABLATIONS, evaluate, load_dataset
-from swss.lexical import load_external_scores
-from swss.scoring import SwssParams
 
 
 def main() -> None:
@@ -26,12 +25,8 @@ def main() -> None:
     parser.add_argument("--out", help="write all four reports as one JSON file")
     args = parser.parse_args()
 
-    if args.params:
-        with open(args.params, encoding="utf-8") as handle:
-            params = SwssParams.from_dict(json.load(handle))
-    else:
-        params = SwssParams()
-    base = args.base if args.base == "bleu" else load_external_scores(args.base[len("tsv:"):])
+    params = _load_params(args.params)
+    base = _resolve_base(args.base)
 
     records = load_dataset(args.manifest)
     reports = {

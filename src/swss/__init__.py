@@ -10,9 +10,8 @@ from .core_words import (
     CORE_CATEGORIES,
     CoreWord,
     CoreWordBag,
-    MatchResult,
+    clipped_match,
     extract_core_words,
-    match_bags,
     porter_stem,
 )
 from .errors import DatasetError, GraphError, SwssError
@@ -27,7 +26,7 @@ from .harness import (
     load_dataset,
     pearson,
 )
-from .lexical import ExternalScoreTable, NGramProfile, load_external_scores, ngram_profile, sentence_bleu
+from .lexical import ExternalScoreTable, load_external_scores, ngram_profile, sentence_bleu
 from .scoring import (
     GraphStats,
     ScoreBreakdown,
@@ -48,10 +47,8 @@ from .ucca_graph import (
     build_graph,
     emit_json,
     graph_from_dict,
-    isomorphic,
     load_graph,
     parse_ucca_json,
-    parse_ucca_json_stream,
     parse_ucca_xml,
 )
 

@@ -10,6 +10,8 @@ counts (the same way n-gram clipping works in BLEU).
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+from typing import Callable
 
 from .porter import stem as porter_stem
 from .ucca_graph import Category, UccaGraph
@@ -18,9 +20,8 @@ __all__ = [
     "CORE_CATEGORIES",
     "CoreWord",
     "CoreWordBag",
-    "MatchResult",
+    "clipped_match",
     "extract_core_words",
-    "match_bags",
     "porter_stem",
 ]
 
@@ -64,21 +65,6 @@ class CoreWordBag:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of the one-to-one matching between two bags.
-
-    With stem-identity matching the two matched counts are always equal;
-    they are kept separate so graded matching could be added without an
-    interface change.
-    """
-
-    matched_candidate: int
-    matched_reference: int
-    candidate_total: int
-    reference_total: int
-
-
 def extract_core_words(graph: UccaGraph) -> CoreWordBag:
     """Collect the graph's core words, stemmed and ordered by position."""
     words = []
@@ -89,17 +75,26 @@ def extract_core_words(graph: UccaGraph) -> CoreWordBag:
     return CoreWordBag(tuple(words))
 
 
-def match_bags(candidate: CoreWordBag, reference: CoreWordBag) -> MatchResult:
-    """Maximum one-to-one matching between the bags under stem identity.
+def clipped_match(
+    side: CoreWordBag, other: CoreWordBag, weight: Callable[[Category], float]
+) -> tuple[float, float]:
+    """Weight of the ``side`` words in a maximum-weight one-to-one matching
+    with ``other`` under stem identity, and the total weight of ``side``;
+    ``weight`` maps a word's label to its weight.
 
-    Because eligibility is stem equality, the maximum matching size is the
-    sum over stems of min(candidate count, reference count).
+    Per stem the matching takes min(count here, count there) words, the
+    heaviest first. The sort is stable, so equal weights keep position
+    order, and the result does not depend on the order of the words.
     """
-    ref_counts = reference.stem_counts
-    matched = sum(min(count, ref_counts[s]) for s, count in candidate.stem_counts.items())
-    return MatchResult(
-        matched_candidate=matched,
-        matched_reference=matched,
-        candidate_total=candidate.total,
-        reference_total=reference.total,
-    )
+    other_counts = other.stem_counts
+    weighted = sorted(((weight(w.label), w.stem) for w in side.words), key=itemgetter(0), reverse=True)
+    taken: dict[str, int] = {}
+    matched = 0.0
+    total = 0.0
+    for w, stem in weighted:
+        total += w
+        used = taken.get(stem, 0)
+        if used < other_counts.get(stem, 0):
+            taken[stem] = used + 1
+            matched += w
+    return matched, total

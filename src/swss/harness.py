@@ -151,6 +151,15 @@ def _centred(values: Sequence[float]) -> list[float]:
     return [v - mean for v in values]
 
 
+def _scaled(deviations: list[float]) -> list[float]:
+    # Multiply by the power of two that brings the largest magnitude into
+    # [0.5, 1). That is exact, leaves Pearson r unchanged, and keeps the
+    # sums of squares of a tiny (or huge) spread from underflowing (or
+    # overflowing).
+    shift = -math.frexp(max(map(abs, deviations)))[1]
+    return [math.ldexp(d, shift) for d in deviations]
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length lists.
 
@@ -162,8 +171,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("pearson requires at least two points")
-    dx = _centred(xs)
-    dy = _centred(ys)
+    dx = _scaled(_centred(xs))
+    dy = _scaled(_centred(ys))
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
     if sxx == 0.0 or syy == 0.0:
@@ -466,7 +475,7 @@ def _screen(prepared: Sequence[_PreparedSegment], grid: "TuneGrid") -> list[tupl
     pairs: list[_PairSums] = []
     segments: list[_PreparedSegment] = []
     for group in _by_pair(prepared).values():
-        dh = _centred([s.human_score for s in group])
+        dh = _scaled(_centred([s.human_score for s in group]))
         hh = math.fsum(d * d for d in dh)
         if len(group) < 2 or hh == 0.0:
             # Pearson raises at every point, so the first one tells how.

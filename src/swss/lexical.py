@@ -15,22 +15,15 @@ from typing import Mapping, Sequence
 
 from .errors import DatasetError
 
-__all__ = ["NGramProfile", "ngram_profile", "sentence_bleu", "ExternalScoreTable", "load_external_scores"]
+__all__ = ["ngram_profile", "sentence_bleu", "ExternalScoreTable", "load_external_scores"]
 
 
-@dataclass(frozen=True)
-class NGramProfile:
-    """Per-order n-gram counts of one token sequence.
+def ngram_profile(tokens: Sequence[str], n_max: int = 4) -> dict[int, Counter]:
+    """Per-order n-gram counts of one token sequence, keyed by order.
 
     Orders with no n-grams (sentence shorter than the order) are absent,
     so every stored count is at least 1.
     """
-
-    n_max: int
-    counts: Mapping[int, Counter]
-
-
-def ngram_profile(tokens: Sequence[str], n_max: int = 4) -> NGramProfile:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     counts = {}
@@ -38,7 +31,7 @@ def ngram_profile(tokens: Sequence[str], n_max: int = 4) -> NGramProfile:
         if len(tokens) < n:
             break
         counts[n] = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-    return NGramProfile(n_max=n_max, counts=counts)
+    return counts
 
 
 def sentence_bleu(
@@ -65,11 +58,11 @@ def sentence_bleu(
     log_sum = 0.0
     orders = 0
     for n in range(1, n_max + 1):
-        cand_counts = candidate.counts.get(n)
+        cand_counts = candidate.get(n)
         if cand_counts is None:
             break
         total = sum(cand_counts.values())
-        ref_counts = reference.counts.get(n, {})
+        ref_counts = reference.get(n, {})
         hits = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items() if gram in ref_counts)
         if n == 1:
             if hits == 0:
@@ -105,11 +98,9 @@ class ExternalScoreTable:
             ) from None
 
 
-def load_external_scores(path, fmt: str = "tsv", metric_name: str = "") -> ExternalScoreTable:
+def load_external_scores(path, metric_name: str = "") -> ExternalScoreTable:
     """Load a score table from a headerless TSV with columns
     ``system<TAB>segment_id<TAB>score``."""
-    if fmt != "tsv":
-        raise ValueError(f"unsupported score table format {fmt!r}")
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"score table not found: {path}")

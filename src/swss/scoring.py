@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
-from .core_words import CoreWordBag, extract_core_words
+from .core_words import CoreWordBag, clipped_match, extract_core_words
 from .ucca_graph import Category, UccaGraph
 
 __all__ = [
@@ -160,25 +160,6 @@ def ratio_penalty(c1: int, c2: int) -> float:
     return 1.0 - min(c1, c2) / max(c1, c2)
 
 
-def _matched_weight(side: CoreWordBag, other: CoreWordBag, params: SwssParams) -> tuple[float, float]:
-    # Weight of `side` words taking part in the clipped matching, and total
-    # weight. Within a stem, earlier positions are matched first, so the
-    # result is deterministic and the same whether `side` plays candidate
-    # or reference.
-    other_counts = other.stem_counts
-    taken: dict[str, int] = {}
-    matched = 0.0
-    total = 0.0
-    for word in side.words:
-        w = params.weight(word.label)
-        total += w
-        used = taken.get(word.stem, 0)
-        if used < other_counts.get(word.stem, 0):
-            taken[word.stem] = used + 1
-            matched += w
-    return matched, total
-
-
 def f1_score(
     candidate: CoreWordBag, reference: CoreWordBag, params: SwssParams
 ) -> tuple[float, float, float, bool]:
@@ -191,8 +172,8 @@ def f1_score(
     """
     if candidate.total == 0 or reference.total == 0:
         return 0.0, 0.0, params.omega, True
-    p_num, p_den = _matched_weight(candidate, reference, params)
-    r_num, r_den = _matched_weight(reference, candidate, params)
+    p_num, p_den = clipped_match(candidate, reference, params.weight)
+    r_num, r_den = clipped_match(reference, candidate, params.weight)
     precision = p_num / p_den
     recall = r_num / r_den
     if precision + recall == 0.0:

@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import GraphError
 
@@ -29,11 +29,9 @@ __all__ = [
     "build_graph",
     "parse_ucca_xml",
     "parse_ucca_json",
-    "parse_ucca_json_stream",
     "graph_from_dict",
     "emit_json",
     "load_graph",
-    "isomorphic",
     "SCENE_CATEGORIES",
     "CRITICAL_CATEGORIES",
 ]
@@ -112,14 +110,6 @@ class UccaGraph:
     @cached_property
     def _incoming_primary(self) -> dict[str, Edge]:
         return {e.child: e for e in self.edges if not e.remote}
-
-    @cached_property
-    def _primary_children(self) -> dict[str, list[Edge]]:
-        children: dict[str, list[Edge]] = defaultdict(list)
-        for e in self.edges:
-            if not e.remote:
-                children[e.parent].append(e)
-        return dict(children)
 
     def tokens(self) -> list[str]:
         """Terminal texts in sentence order."""
@@ -519,19 +509,6 @@ def graph_from_dict(obj: object, lenient: bool = False) -> UccaGraph:
     return build_graph(root, terminals, internal, edges, lenient=lenient)
 
 
-def parse_ucca_json_stream(document: Union[bytes, str], lenient: bool = False) -> Iterator[UccaGraph]:
-    """Parse a newline-delimited stream of JSON graphs, one per line."""
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    for lineno, line in enumerate(document.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            yield parse_ucca_json(line, lenient=lenient)
-        except GraphError as exc:
-            raise GraphError(f"line {lineno}: {exc}") from None
-
-
 def emit_json(graph: UccaGraph) -> dict:
     """Serialize a graph to the JSON mirror schema (see parse_ucca_json)."""
     terminal_pos = {t.id: t.position for t in graph.terminals}
@@ -568,48 +545,3 @@ def load_graph(path, lenient: bool = False) -> UccaGraph:
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from None
 
-
-# --------------------------------------------------------------------------
-# Structural comparison
-
-
-def isomorphic(a: UccaGraph, b: UccaGraph) -> bool:
-    """True when the graphs are equal up to renaming of node ids.
-
-    Terminal positions and texts, edge categories, remote flags, and the
-    shape of the primary tree must all agree.
-    """
-    return _canonical_form(a) == _canonical_form(b)
-
-
-def _canonical_form(graph: UccaGraph):
-    children = graph._primary_children
-    terminal = graph._terminal_by_id
-    paths: dict[str, tuple[int, ...]] = {}
-
-    def min_position(node_id: str) -> int:
-        if node_id in terminal:
-            return terminal[node_id].position
-        return min(min_position(e.child) for e in children[node_id])
-
-    def signature(node_id: str, path: tuple[int, ...]):
-        paths[node_id] = path
-        if node_id in terminal:
-            t = terminal[node_id]
-            return ("t", t.position, t.text)
-        ordered = sorted(children[node_id], key=lambda e: min_position(e.child))
-        return (
-            "n",
-            tuple(
-                (e.category.value, signature(e.child, path + (i,)))
-                for i, e in enumerate(ordered)
-            ),
-        )
-
-    tree = signature(graph.root, ())
-    remotes = frozenset(
-        (paths[e.parent], paths[e.child], e.category.value)
-        for e in graph.edges
-        if e.remote
-    )
-    return tree, remotes

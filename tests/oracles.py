@@ -1,10 +1,11 @@
 """Independent reference implementations used only as test oracles.
 
-These deliberately share no code with the library: the matching oracle is
-an exhaustive subset search, the BLEU oracle uses explicit n-gram lists
-and the product form of the geometric mean, and the correlation oracle
-uses the raw-moment formula. The grid-search oracle is the exception:
-it is the exhaustive loop the fast search must agree with point for point.
+These deliberately share no code with the library: the matching oracles
+are exhaustive subset searches, the BLEU oracle uses explicit n-gram lists
+and the product form of the geometric mean, the correlation oracle uses
+the raw-moment formula, and the isomorphism check compares canonical
+forms of the primary tree. The grid-search oracle is the exception: it is
+the exhaustive loop the fast search must agree with point for point.
 """
 
 import itertools
@@ -13,29 +14,87 @@ from dataclasses import replace
 from functools import lru_cache
 
 
-def max_matching_bruteforce(candidate_stems, reference_stems):
-    """Size of a maximum one-to-one matching where equal stems may pair.
+def max_weight_matching_bruteforce(candidate, reference):
+    """Matched weights of a maximum-weight one-to-one matching.
 
-    Explores every assignment of candidate words to unused reference
-    words via subset recursion (memoized on the used-reference bitmask).
-    Only suitable for small instances.
+    ``candidate`` and ``reference`` are sequences of ``(stem, weight)``;
+    words with equal stems may pair, and a pair is worth the sum of its
+    two words' weights. Returns ``(candidate weight matched, reference
+    weight matched)`` of a best matching, found by exhaustive subset
+    recursion. Only suitable for small instances with weights whose sums
+    are exact, so that ties between matchings are real ties.
     """
-    cand = tuple(candidate_stems)
-    ref = tuple(reference_stems)
+    cand = tuple(candidate)
+    ref = tuple(reference)
 
     @lru_cache(maxsize=None)
     def best(i, used_mask):
         if i == len(cand):
-            return 0
-        score = best(i + 1, used_mask)  # leave word i unmatched
-        for j, stem in enumerate(ref):
-            if not used_mask >> j & 1 and cand[i] == stem:
-                score = max(score, 1 + best(i + 1, used_mask | 1 << j))
-        return score
+            return 0, 0
+        options = [best(i + 1, used_mask)]
+        stem, weight = cand[i]
+        for j, (other, other_weight) in enumerate(ref):
+            if not used_mask >> j & 1 and stem == other:
+                matched_cand, matched_ref = best(i + 1, used_mask | 1 << j)
+                options.append((weight + matched_cand, other_weight + matched_ref))
+        return max(options, key=sum)
 
     result = best(0, 0)
     best.cache_clear()
     return result
+
+
+def max_matching_bruteforce(candidate_stems, reference_stems):
+    """Size of a maximum one-to-one matching where equal stems may pair."""
+    matched, _ = max_weight_matching_bruteforce(
+        [(s, 1) for s in candidate_stems], [(s, 1) for s in reference_stems]
+    )
+    return matched
+
+
+def isomorphic(a, b):
+    """True when two UCCA graphs are equal up to renaming of node ids.
+
+    Terminal positions and texts, edge categories, remote flags, and the
+    shape of the primary tree must all agree.
+    """
+    return _canonical_form(a) == _canonical_form(b)
+
+
+def _canonical_form(graph):
+    children = {}
+    for e in graph.edges:
+        if not e.remote:
+            children.setdefault(e.parent, []).append(e)
+    terminal = {t.id: t for t in graph.terminals}
+    paths = {}
+
+    def min_position(node_id):
+        if node_id in terminal:
+            return terminal[node_id].position
+        return min(min_position(e.child) for e in children[node_id])
+
+    def signature(node_id, path):
+        paths[node_id] = path
+        if node_id in terminal:
+            t = terminal[node_id]
+            return ("t", t.position, t.text)
+        ordered = sorted(children[node_id], key=lambda e: min_position(e.child))
+        return (
+            "n",
+            tuple(
+                (e.category.value, signature(e.child, path + (i,)))
+                for i, e in enumerate(ordered)
+            ),
+        )
+
+    tree = signature(graph.root, ())
+    remotes = frozenset(
+        (paths[e.parent], paths[e.child], e.category.value)
+        for e in graph.edges
+        if e.remote
+    )
+    return tree, remotes
 
 
 def reference_bleu(candidate, reference, n_max=4):

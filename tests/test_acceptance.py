@@ -14,7 +14,7 @@ from pathlib import Path
 
 from oracles import max_matching_bruteforce, reference_bleu
 from swss.cli import main
-from swss.core_words import CoreWordBag, extract_core_words, match_bags
+from swss.core_words import CoreWordBag, clipped_match, extract_core_words
 from swss.harness import TuneGrid, evaluate, grid_search, load_dataset, pearson
 from swss.lexical import sentence_bleu
 from swss.porter import stem
@@ -61,14 +61,17 @@ def test_criterion_1_figure_fixture_golden():
 def test_criterion_2_matching_oracle():
     rng = random.Random(2024)
     stems = "abcdefgh"
+    unit = SwssParams().weight  # the weights f1_score uses by default
     with Timer() as timer:
         ok = True
         for _ in range(1000):
             cand = [rng.choice(stems) for _ in range(rng.randint(0, 8))]
             ref = [rng.choice(stems) for _ in range(rng.randint(0, 8))]
             expected = max_matching_bruteforce(cand, ref)
-            got = match_bags(CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref))
-            if got.matched_candidate != expected or got.matched_reference != expected:
+            cand_bag, ref_bag = CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref)
+            matched_cand, _ = clipped_match(cand_bag, ref_bag, unit)
+            matched_ref, _ = clipped_match(ref_bag, cand_bag, unit)
+            if matched_cand != expected or matched_ref != expected:
                 ok = False
                 break
     report("2 matching equals brute-force maximum bipartite matching (1000 pairs)", ok, timer, 10.0)

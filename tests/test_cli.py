@@ -1,9 +1,13 @@
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from swss.cli import main
+from swss.harness import ABLATIONS, load_dataset
 from swss.synthetic import write_synthetic_dataset
 
 
@@ -235,3 +239,32 @@ class TestCliSurface:
         captured = capsys.readouterr()
         assert code == 2
         assert "RuntimeError" in captured.err
+
+class TestAblationScript:
+    SCRIPT = Path(__file__).parent.parent / "scripts" / "run_ablation.py"
+
+    def run_script(self, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), *argv])
+        runpy.run_path(str(self.SCRIPT), run_name="__main__")
+
+    def test_tsv_base_and_out(self, capsys, monkeypatch, tmp_path, corpus):
+        tsv = tmp_path / "meteor.tsv"
+        tsv.write_text("".join(f"{r.system}\t{r.segment_id}\t{r.human_score}\n" for r in load_dataset(corpus)))
+        out = tmp_path / "ablation.json"
+        self.run_script(monkeypatch, str(corpus), "--base", f"tsv:{tsv}", "--out", str(out))
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["lang", "pair", "full", "no-repr", "no-len", "base-only"]
+        assert [row.split()[0] for row in rows] == ["aa-en", "average"]
+        reports = json.loads(out.read_text())
+        assert sorted(reports) == sorted(ABLATIONS)
+        assert {report["base"] for report in reports.values()} == {"meteor"}
+
+    def test_bare_path_base_gets_cli_error(self, monkeypatch, corpus):
+        with pytest.raises(ValueError, match="unknown base metric 'meteor.tsv'"):
+            self.run_script(monkeypatch, str(corpus), "--base", "meteor.tsv")
+
+    def test_non_object_params_gets_cli_error(self, monkeypatch, tmp_path, corpus):
+        params = tmp_path / "params.json"
+        params.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            self.run_script(monkeypatch, str(corpus), "--params", str(params))

@@ -6,10 +6,18 @@ from hypothesis import strategies as st
 
 from conftest import make_graph
 from oracles import max_matching_bruteforce
-from swss.core_words import CORE_CATEGORIES, CoreWordBag, extract_core_words, match_bags, porter_stem
+from swss.core_words import CORE_CATEGORIES, CoreWordBag, clipped_match, extract_core_words, porter_stem
+from swss.scoring import SwssParams
 from swss.synthetic import random_graph
 
 stems_lists = st.lists(st.sampled_from("abcdefg"), max_size=8)
+
+# The weights scoring uses under default parameters: 1 for every label.
+unit = SwssParams().weight
+
+
+def match(cand, ref):
+    return clipped_match(CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref), unit)
 
 
 class TestExtraction:
@@ -66,42 +74,30 @@ class TestMatching:
         # then assert the library agrees.
         cand, ref = ["a", "a", "b"], ["a", "c"]
         assert max_matching_bruteforce(cand, ref) == 1
-        result = match_bags(CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref))
-        assert result.matched_candidate == result.matched_reference == 1
-        assert result.candidate_total == 3
-        assert result.reference_total == 2
+        assert match(cand, ref) == (1.0, 3.0)
+        assert match(ref, cand) == (1.0, 2.0)
 
     def test_identical_bags_match_fully(self):
-        bag = CoreWordBag.from_stems(["x", "y", "y"])
-        result = match_bags(bag, bag)
-        assert result.matched_candidate == result.matched_reference == 3
+        assert match(["x", "y", "y"], ["x", "y", "y"]) == (3.0, 3.0)
 
     def test_disjoint_bags_match_nothing(self):
-        result = match_bags(CoreWordBag.from_stems(["a", "b"]), CoreWordBag.from_stems(["c"]))
-        assert result.matched_candidate == 0
+        assert match(["a", "b"], ["c"]) == (0.0, 2.0)
 
     def test_empty_side(self):
-        result = match_bags(CoreWordBag.from_stems([]), CoreWordBag.from_stems(["a"]))
-        assert result.matched_candidate == 0
-        assert result.reference_total == 1
+        assert match([], ["a"]) == (0.0, 0.0)
+        assert match(["a"], []) == (0.0, 1.0)
 
     @given(stems_lists, stems_lists)
     def test_matches_bruteforce_maximum(self, cand, ref):
         expected = max_matching_bruteforce(cand, ref)
-        result = match_bags(CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref))
-        assert result.matched_candidate == expected
-        assert result.matched_reference == expected
+        assert match(cand, ref) == (expected, len(cand))
+        assert match(ref, cand) == (expected, len(ref))
 
     @given(stems_lists, stems_lists)
     def test_symmetry(self, cand, ref):
-        a = match_bags(CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref))
-        b = match_bags(CoreWordBag.from_stems(ref), CoreWordBag.from_stems(cand))
-        assert a.matched_candidate == b.matched_reference
-        assert a.matched_reference == b.matched_candidate
-        assert (a.candidate_total, a.reference_total) == (b.reference_total, b.candidate_total)
+        assert match(cand, ref)[0] == match(ref, cand)[0]
 
     @given(stems_lists, stems_lists)
     def test_matched_never_exceeds_totals(self, cand, ref):
-        result = match_bags(CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref))
-        assert 0 <= result.matched_candidate <= result.candidate_total
-        assert 0 <= result.matched_reference <= result.reference_total
+        matched, total = match(cand, ref)
+        assert 0 <= matched <= total == len(cand)

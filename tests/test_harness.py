@@ -6,7 +6,7 @@ import tempfile
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_search_bruteforce, reference_pearson
@@ -63,6 +63,11 @@ class TestPearson:
             pearson([1], [2])
 
     @given(st.lists(st.tuples(floats, floats), min_size=3, max_size=30))
+    # Spreads so small that the sums of squares underflow unless the
+    # deviations are rescaled first.
+    @example([(0.0, 0.0), (0.0, 0.0), (3.007e-157, 3.007e-157)])
+    @example([(0.0, 0.0), (0.0, 0.0), (0.015625, 3.007e-157)])
+    @example([(0.0, 0.0), (1.0, 1e-161), (0.5, 3e-162)])
     def test_matches_scipy(self, pairs):
         xs = [p[0] for p in pairs]
         ys = [p[1] for p in pairs]

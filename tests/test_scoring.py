@@ -8,12 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from swss.core_words import CoreWordBag
+from oracles import max_matching_bruteforce, max_weight_matching_bruteforce
+from swss.core_words import CORE_CATEGORIES, CoreWord, CoreWordBag
 from swss.scoring import GraphStats, ScoreBreakdown, SwssParams, combine, f1_score, ratio_penalty, swss
 from swss.synthetic import random_pair
 from swss.ucca_graph import Category
 
 counts = st.integers(min_value=0, max_value=50)
+core_labels = st.sampled_from(sorted(CORE_CATEGORIES, key=lambda c: c.value))
+# Non-empty (stem, label) lists; few stems, so that words compete for matches.
+labelled_words = st.lists(st.tuples(st.sampled_from("abc"), core_labels), min_size=1, max_size=7)
 
 _STATS = GraphStats(tokens=1, scenes=0, nodes=3, internal_nodes=1, critical_edges=0, core_words=1)
 _DUMMY = ScoreBreakdown(
@@ -111,15 +115,13 @@ class TestF1:
         st.lists(st.sampled_from("abcd"), max_size=8).filter(bool),
     )
     def test_unit_weights_agree_with_match_counts(self, cand_stems, ref_stems):
-        from swss.core_words import match_bags
-
         cand = CoreWordBag.from_stems(cand_stems)
         ref = CoreWordBag.from_stems(ref_stems)
-        matched = match_bags(cand, ref)
+        matched = max_matching_bruteforce(cand_stems, ref_stems)
         precision, recall, _, fallback = f1_score(cand, ref, SwssParams())
         assert not fallback
-        assert precision == matched.matched_candidate / matched.candidate_total
-        assert recall == matched.matched_reference / matched.reference_total
+        assert precision == matched / len(cand_stems)
+        assert recall == matched / len(ref_stems)
 
     def test_category_weights_shift_precision(self):
         # Candidate: matched P word (weight 2) + unmatched C word (weight 1).
@@ -134,6 +136,45 @@ class TestF1:
         precision, recall, f1, _ = f1_score(cand, ref, params)
         assert precision == pytest.approx(2 / 3)
         assert recall == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("labels", [(Category.CENTER, Category.PROCESS), (Category.PROCESS, Category.CENTER)])
+    def test_heaviest_word_of_a_stem_is_matched(self, labels):
+        # Whichever position it holds, the P "buy" (weight 2) takes the one
+        # reference "buy", so precision is 2/3 in both word orders.
+        cand = CoreWordBag(tuple(CoreWord("buy", "buy", i, label) for i, label in enumerate(labels, start=1)))
+        ref = CoreWordBag.from_stems(["buy"], label=Category.PROCESS)
+        params = SwssParams(category_weights={Category.PROCESS: 2.0})
+        precision, recall, _, _ = f1_score(cand, ref, params)
+        assert precision == 2 / 3
+        assert recall == 1.0
+
+    @given(
+        labelled_words,
+        labelled_words,
+        # Dyadic weights keep every sum exact, so ties between matchings are real.
+        st.dictionaries(core_labels, st.sampled_from([0.5, 2.0, 3.0])),
+        st.randoms(use_true_random=False),
+    )
+    def test_weighted_matching_is_maximum_and_order_free(self, cand_words, ref_words, weights, rng):
+        params = SwssParams(category_weights=weights)
+
+        def bag(words):
+            return CoreWordBag(tuple(CoreWord(s, s, i, label) for i, (s, label) in enumerate(words, start=1)))
+
+        def weighted(words):
+            return [(s, params.weight(label)) for s, label in words]
+
+        matched_cand, matched_ref = max_weight_matching_bruteforce(weighted(cand_words), weighted(ref_words))
+        cand_total = sum(w for _, w in weighted(cand_words))
+        ref_total = sum(w for _, w in weighted(ref_words))
+        precision, recall, _, _ = f1_score(bag(cand_words), bag(ref_words), params)
+        assert precision == matched_cand / cand_total
+        assert recall == matched_ref / ref_total
+
+        shuffled_cand, shuffled_ref = list(cand_words), list(ref_words)
+        rng.shuffle(shuffled_cand)
+        rng.shuffle(shuffled_ref)
+        assert f1_score(bag(shuffled_cand), bag(shuffled_ref), params)[:2] == (precision, recall)
 
 
 def one_scene_paraphrase():

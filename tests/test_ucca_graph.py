@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_graph
+from oracles import isomorphic
 from swss.cli import main
 from swss.errors import GraphError
 from swss.harness import evaluate, load_dataset
@@ -19,10 +20,8 @@ from swss.ucca_graph import (
     Terminal,
     build_graph,
     emit_json,
-    isomorphic,
     load_graph,
     parse_ucca_json,
-    parse_ucca_json_stream,
     parse_ucca_xml,
 )
 
@@ -221,18 +220,6 @@ class TestJsonParsing:
         }
         with pytest.raises(GraphError, match="position 2 out of range"):
             parse_ucca_json(json.dumps(document))
-
-    def test_stream_parses_per_line(self, figure_json_path):
-        line = json.dumps(json.loads(figure_json_path.read_text()))
-        stream = f"{line}\n\n{line}\n"
-        graphs = list(parse_ucca_json_stream(stream))
-        assert len(graphs) == 2
-        assert graphs[0] == graphs[1]
-
-    def test_stream_reports_line_numbers(self, figure_json_path):
-        good = json.dumps(json.loads(figure_json_path.read_text()))
-        with pytest.raises(GraphError, match="line 2"):
-            list(parse_ucca_json_stream(f"{good}\n{{broken\n"))
 
 
 class TestValidation:
