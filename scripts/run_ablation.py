@@ -11,8 +11,10 @@ and prints a per-language-pair comparison table:
 
 import argparse
 import json
+import sys
 
 from swss.cli import _load_params, _resolve_base
+from swss.errors import SwssError
 from swss.harness import ABLATIONS, evaluate, load_dataset
 
 
@@ -24,7 +26,15 @@ def main() -> None:
     parser.add_argument("--strict", action="store_true")
     parser.add_argument("--out", help="write all four reports as one JSON file")
     args = parser.parse_args()
+    # Input errors exit 1 with one line on stderr, as in ``swss evaluate``.
+    try:
+        run(args)
+    except (SwssError, ValueError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
 
+
+def run(args) -> None:
     params = _load_params(args.params)
     base = _resolve_base(args.base)
 

@@ -12,11 +12,10 @@ import logging
 import sys
 import traceback
 
-from .core_words import extract_core_words
 from .errors import SwssError
 from .harness import ABLATIONS, TuneGrid, evaluate, grid_search, load_dataset
 from .lexical import load_external_scores
-from .scoring import SwssParams, swss
+from .scoring import GraphFeatures, SwssParams, swss
 from .ucca_graph import load_graph
 
 logger = logging.getLogger(__name__)
@@ -108,17 +107,17 @@ def cmd_tune(args) -> int:
 
 def cmd_inspect(args) -> int:
     graph = load_graph(args.ucca, lenient=args.lenient)
-    bag = extract_core_words(graph)
+    features = GraphFeatures.of(graph)
     summary = {
-        "tokens": graph.tokens(),
+        "tokens": features.tokens,
         "lowest_labels": [graph.lowest_label(t.id).value for t in graph.terminals],
-        "core_words": [w.surface for w in bag.words],
-        "core_stems": [w.stem for w in bag.words],
-        "scenes": graph.count_scenes(),
-        "nodes": graph.count_nodes(),
-        "internal_nodes": len(graph.internal_nodes),
-        "critical_edges": graph.count_critical_edges(),
-        "critical_edges_with_remote": graph.count_critical_edges(include_remote=True),
+        "core_words": [w.surface for w in features.bag.words],
+        "core_stems": [w.stem for w in features.bag.words],
+        "scenes": features.scenes,
+        "nodes": features.nodes,
+        "internal_nodes": features.internal_nodes,
+        "critical_edges": features.critical_edges,
+        "critical_edges_with_remote": features.critical_edges_with_remote,
     }
     if args.json:
         print(json.dumps(summary, indent=2))

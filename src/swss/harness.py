@@ -13,13 +13,14 @@ import logging
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DatasetError, GraphError
 from .lexical import ExternalScoreTable, sentence_bleu
-from .scoring import SwssParams, penalized_score, swss
+from .scoring import GraphFeatures, SwssParams, penalized_score, score_from_features
 from .ucca_graph import load_graph
 
 __all__ = [
@@ -171,12 +172,14 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("pearson requires at least two points")
+    # Tested before centring: the mean of a constant can be off by an
+    # ulp, which leaves tiny non-zero deviations.
+    if max(xs) == min(xs) or max(ys) == min(ys):
+        raise ValueError("pearson is undefined for a constant input")
     dx = _scaled(_centred(xs))
     dy = _scaled(_centred(ys))
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("pearson is undefined for a constant input")
     r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
@@ -218,6 +221,38 @@ def _base_name(base: Union[str, ExternalScoreTable]) -> str:
     return base if isinstance(base, str) else base.metric_name
 
 
+class _FeatureCache:
+    """Graph features per file path for one pass over ``records``.
+
+    Each file is loaded once. Its features, or the GraphError it raised,
+    are kept only while a later record still names the file, so a file
+    that only one record names is never kept, and memory follows the
+    number of files still to come back, not the corpus size.
+    """
+
+    def __init__(self, records: Sequence[SegmentRecord], lenient: bool):
+        self._uses = Counter(path for r in records for path in (r.candidate_ucca, r.reference_ucca))
+        self._kept: dict[Path, Union[GraphFeatures, GraphError]] = {}
+        self._lenient = lenient
+
+    def take(self, path: Path, load: bool = True) -> Union[GraphFeatures, GraphError, None]:
+        """Use ``path`` once more: its features, or the error loading it
+        raised. With ``load=False`` the use is only counted, and None is
+        returned for a file not loaded yet."""
+        self._uses[path] -= 1
+        last = self._uses[path] == 0
+        found = self._kept.pop(path, None) if last else self._kept.get(path)
+        if found is None and load:
+            try:
+                found = GraphFeatures.of(load_graph(path, lenient=self._lenient))
+            except GraphError as exc:
+                # Without its traceback, which holds the parser's frames.
+                found = exc.with_traceback(None)
+            if not last:
+                self._kept[path] = found
+        return found
+
+
 def _prepare_segments(
     records: Sequence[SegmentRecord],
     params: SwssParams,
@@ -226,23 +261,26 @@ def _prepare_segments(
 ) -> tuple[list[_PreparedSegment], int]:
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
+    features = _FeatureCache(records, lenient=not strict)
     prepared: list[_PreparedSegment] = []
     skipped = 0
     for record in records:
-        try:
-            candidate = load_graph(record.candidate_ucca, lenient=not strict)
-            reference = load_graph(record.reference_ucca, lenient=not strict)
-        except GraphError as exc:
+        candidate = features.take(record.candidate_ucca)
+        candidate_failed = isinstance(candidate, GraphError)
+        # The reference's use is counted even when the candidate failed.
+        reference = features.take(record.reference_ucca, load=not candidate_failed)
+        if candidate_failed or isinstance(reference, GraphError):
+            error = candidate if candidate_failed else reference
             if strict:
-                raise DatasetError(f"record {record.label}: {exc}") from None
+                raise DatasetError(f"record {record.label}: {error}") from None
             skipped += 1
-            logger.warning("skipping record %s: %s", record.label, exc)
+            logger.warning("skipping record %s: %s", record.label, error)
             continue
         if isinstance(base, ExternalScoreTable):
             base_score = base.score(record.system, record.segment_id)
         else:
-            base_score = sentence_bleu(candidate.tokens(), reference.tokens())
-        breakdown = swss(candidate, reference, params)
+            base_score = sentence_bleu(candidate.tokens, reference.tokens)
+        breakdown = score_from_features(candidate, reference, params)
         prepared.append(
             _PreparedSegment(
                 lang_pair=record.lang_pair,
@@ -475,11 +513,12 @@ def _screen(prepared: Sequence[_PreparedSegment], grid: "TuneGrid") -> list[tupl
     pairs: list[_PairSums] = []
     segments: list[_PreparedSegment] = []
     for group in _by_pair(prepared).values():
-        dh = _scaled(_centred([s.human_score for s in group]))
-        hh = math.fsum(d * d for d in dh)
-        if len(group) < 2 or hh == 0.0:
+        human = [s.human_score for s in group]
+        if len(group) < 2 or max(human) == min(human):
             # Pearson raises at every point, so the first one tells how.
             return [next(points)]
+        dh = _scaled(_centred(human))
+        hh = math.fsum(d * d for d in dh)
         bases = [s.base_score for s in group]
         db = _centred(bases)
         du = _centred([float(s.fallback_used) for s in group])

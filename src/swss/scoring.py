@@ -202,15 +202,44 @@ def penalized_score(
     return f1 * math.exp(-exponent)
 
 
-def _stats(graph: UccaGraph, bag: CoreWordBag, include_remote: bool) -> GraphStats:
-    return GraphStats(
-        tokens=len(graph.terminals),
-        scenes=graph.count_scenes(),
-        nodes=graph.count_nodes(),
-        internal_nodes=len(graph.internal_nodes),
-        critical_edges=graph.count_critical_edges(include_remote=include_remote),
-        core_words=bag.total,
-    )
+@dataclass(frozen=True)
+class GraphFeatures:
+    """Everything scoring reads from one graph.
+
+    None of it depends on the parameters, so one value serves every pair
+    and every parameter point that involves the graph; the edge count is
+    kept both without and with remote edges for that reason.
+    """
+
+    tokens: tuple[str, ...]
+    bag: CoreWordBag
+    scenes: int
+    nodes: int
+    internal_nodes: int
+    critical_edges: int
+    critical_edges_with_remote: int
+
+    @classmethod
+    def of(cls, graph: UccaGraph) -> "GraphFeatures":
+        return cls(
+            tokens=tuple(graph.tokens()),
+            bag=extract_core_words(graph),
+            scenes=graph.count_scenes(),
+            nodes=graph.count_nodes(),
+            internal_nodes=len(graph.internal_nodes),
+            critical_edges=graph.count_critical_edges(),
+            critical_edges_with_remote=graph.count_critical_edges(include_remote=True),
+        )
+
+    def stats(self, include_remote: bool) -> GraphStats:
+        return GraphStats(
+            tokens=len(self.tokens),
+            scenes=self.scenes,
+            nodes=self.nodes,
+            internal_nodes=self.internal_nodes,
+            critical_edges=self.critical_edges_with_remote if include_remote else self.critical_edges,
+            core_words=self.bag.total,
+        )
 
 
 def swss(
@@ -224,15 +253,22 @@ def swss(
     candidate/reference diagnostics and exchanges precision with recall,
     but yields the identical score.
     """
+    return score_from_features(GraphFeatures.of(candidate_graph), GraphFeatures.of(reference_graph), params)
+
+
+def score_from_features(
+    candidate: GraphFeatures,
+    reference: GraphFeatures,
+    params: Optional[SwssParams] = None,
+) -> ScoreBreakdown:
+    """:func:`swss` on the features of the two graphs."""
     if params is None:
         params = SwssParams()
-    candidate_bag = extract_core_words(candidate_graph)
-    reference_bag = extract_core_words(reference_graph)
-    precision, recall, f1, fallback_used = f1_score(candidate_bag, reference_bag, params)
+    precision, recall, f1, fallback_used = f1_score(candidate.bag, reference.bag, params)
 
     include_remote = params.include_remote_critical_edges
-    candidate_stats = _stats(candidate_graph, candidate_bag, include_remote)
-    reference_stats = _stats(reference_graph, reference_bag, include_remote)
+    candidate_stats = candidate.stats(include_remote)
+    reference_stats = reference.stats(include_remote)
 
     p_scene = ratio_penalty(candidate_stats.scenes, reference_stats.scenes)
     p_node = ratio_penalty(candidate_stats.nodes, reference_stats.nodes)

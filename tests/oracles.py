@@ -4,8 +4,10 @@ These deliberately share no code with the library: the matching oracles
 are exhaustive subset searches, the BLEU oracle uses explicit n-gram lists
 and the product form of the geometric mean, the correlation oracle uses
 the raw-moment formula, and the isomorphism check compares canonical
-forms of the primary tree. The grid-search oracle is the exception: it is
-the exhaustive loop the fast search must agree with point for point.
+forms of the primary tree. The grid-search, scoring and preparation
+oracles are the exception: they are the slower paths the library replaced
+(exhaustive grid loop, scoring straight from graphs, loading both graphs of
+every record), which the fast paths must agree with bit for bit.
 """
 
 import itertools
@@ -161,3 +163,93 @@ def grid_search_bruteforce(records, grid, base="bleu"):
             best_objective = objective
             best_vector = vector
     return SwssParams(*best_vector), best_objective
+
+
+def swss_from_graphs(candidate_graph, reference_graph, params):
+    """The pair score computed straight from the two graphs, as
+    ``swss.scoring.swss`` did before it scored from per-graph features:
+    core words and counts are read from each graph at scoring time, and
+    only the edge count that ``params`` asks for is taken."""
+    from swss.core_words import extract_core_words
+    from swss.scoring import GraphStats, ScoreBreakdown, f1_score, penalized_score, ratio_penalty
+
+    candidate_bag = extract_core_words(candidate_graph)
+    reference_bag = extract_core_words(reference_graph)
+    precision, recall, f1, fallback_used = f1_score(candidate_bag, reference_bag, params)
+
+    def stats(graph, bag):
+        return GraphStats(
+            tokens=len(graph.terminals),
+            scenes=graph.count_scenes(),
+            nodes=graph.count_nodes(),
+            internal_nodes=len(graph.internal_nodes),
+            critical_edges=graph.count_critical_edges(include_remote=params.include_remote_critical_edges),
+            core_words=bag.total,
+        )
+
+    candidate = stats(candidate_graph, candidate_bag)
+    reference = stats(reference_graph, reference_bag)
+    p_scene = ratio_penalty(candidate.scenes, reference.scenes)
+    p_node = ratio_penalty(candidate.nodes, reference.nodes)
+    p_edge = ratio_penalty(candidate.critical_edges, reference.critical_edges)
+    len_penalty = (candidate.tokens + reference.tokens) / 2
+    return ScoreBreakdown(
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        p_scene=p_scene,
+        p_node=p_node,
+        p_edge=p_edge,
+        len_penalty=len_penalty,
+        swss=penalized_score(f1, fallback_used, p_scene, p_node, p_edge, len_penalty, params),
+        fallback_used=fallback_used,
+        candidate=candidate,
+        reference=reference,
+    )
+
+
+def prepare_segments_per_record(records, params, base, strict):
+    """Segment preparation record by record, as
+    ``swss.harness._prepare_segments`` did before it kept per-file
+    features: both graphs of every record are loaded and scored afresh,
+    so a file that k records share is parsed k times. Drop-in for
+    ``_prepare_segments`` (same arguments, same result and errors)."""
+    from swss.errors import DatasetError, GraphError
+    from swss.harness import _PreparedSegment
+    from swss.lexical import ExternalScoreTable, sentence_bleu
+    from swss.ucca_graph import load_graph
+
+    if isinstance(base, str) and base != "bleu":
+        raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
+    prepared = []
+    skipped = 0
+    for record in records:
+        try:
+            candidate = load_graph(record.candidate_ucca, lenient=not strict)
+            reference = load_graph(record.reference_ucca, lenient=not strict)
+        except GraphError as exc:
+            if strict:
+                raise DatasetError(f"record {record.label}: {exc}") from None
+            skipped += 1
+            continue
+        if isinstance(base, ExternalScoreTable):
+            base_score = base.score(record.system, record.segment_id)
+        else:
+            base_score = sentence_bleu(candidate.tokens(), reference.tokens())
+        breakdown = swss_from_graphs(candidate, reference, params)
+        prepared.append(
+            _PreparedSegment(
+                lang_pair=record.lang_pair,
+                base_score=base_score,
+                human_score=record.human_score,
+                f1=breakdown.f1,
+                fallback_used=breakdown.fallback_used,
+                p_scene=breakdown.p_scene,
+                p_node=breakdown.p_node,
+                p_edge=breakdown.p_edge,
+                len_penalty=breakdown.len_penalty,
+            )
+        )
+    if not prepared:
+        raise DatasetError("no segments could be evaluated")
+    return prepared, skipped

@@ -259,12 +259,21 @@ class TestAblationScript:
         assert sorted(reports) == sorted(ABLATIONS)
         assert {report["base"] for report in reports.values()} == {"meteor"}
 
-    def test_bare_path_base_gets_cli_error(self, monkeypatch, corpus):
-        with pytest.raises(ValueError, match="unknown base metric 'meteor.tsv'"):
-            self.run_script(monkeypatch, str(corpus), "--base", "meteor.tsv")
+    def assert_input_error(self, capsys, message):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
-    def test_non_object_params_gets_cli_error(self, monkeypatch, tmp_path, corpus):
+    def test_bare_path_base_gets_cli_error(self, capsys, monkeypatch, corpus):
+        with pytest.raises(SystemExit) as info:
+            self.run_script(monkeypatch, str(corpus), "--base", "meteor.tsv")
+        assert info.value.code == 1
+        self.assert_input_error(capsys, "unknown base metric 'meteor.tsv'")
+
+    def test_non_object_params_gets_cli_error(self, capsys, monkeypatch, tmp_path, corpus):
         params = tmp_path / "params.json"
         params.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="must hold a JSON object"):
+        with pytest.raises(SystemExit) as info:
             self.run_script(monkeypatch, str(corpus), "--params", str(params))
+        assert info.value.code == 1
+        self.assert_input_error(capsys, "must hold a JSON object")

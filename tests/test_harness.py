@@ -2,20 +2,23 @@ import dataclasses
 import itertools
 import json
 import logging
+import random
 import tempfile
+from collections import Counter
 
 import pytest
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_search_bruteforce, reference_pearson
-from swss.errors import DatasetError
+from oracles import grid_search_bruteforce, prepare_segments_per_record, reference_pearson
+from swss import harness
+from swss.errors import DatasetError, GraphError
 from swss.harness import TuneGrid, evaluate, grid_search, load_dataset, pearson
 from swss.lexical import ExternalScoreTable, sentence_bleu
 from swss.scoring import SwssParams, swss
-from swss.synthetic import write_synthetic_dataset
-from swss.ucca_graph import load_graph
+from swss.synthetic import mutate_tokens, random_graph, write_synthetic_dataset
+from swss.ucca_graph import emit_json, load_graph
 
 floats = st.floats(min_value=-100, max_value=100)
 
@@ -53,6 +56,16 @@ class TestPearson:
             pearson([1, 1, 1], [1, 2, 3])
         with pytest.raises(ValueError, match="constant"):
             pearson([1, 2, 3], [5, 5, 5])
+
+    # Constants whose floating-point mean is off by an ulp, which once
+    # left tiny deviations and r = 0.0 instead of an error.
+    @pytest.mark.parametrize("value,n", [(0.1, 3), (0.1, 6), (0.7, 12), (0.1, 24)])
+    def test_constant_with_inexact_mean_is_an_error(self, value, n):
+        varying = [float(i) for i in range(n)]
+        with pytest.raises(ValueError, match="constant"):
+            pearson([value] * n, varying)
+        with pytest.raises(ValueError, match="constant"):
+            pearson(varying, [value] * n)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -475,3 +488,154 @@ class TestGridSearchOracle:
         with pytest.raises(DatasetError) as info:
             grid_search(records, grid, base=table)
         assert str(info.value) == expected
+
+
+def write_shared_corpus(dest, n_segments=6, systems=3, seed=0):
+    """A DA-shaped corpus: ``systems`` candidates per segment, all judged
+    against the segment's one reference file. Records come system by
+    system, so each reference comes back long after its first use; one
+    more record pairs a reference with itself. Returns the records."""
+    rng = random.Random(seed)
+    dest.mkdir(parents=True, exist_ok=True)
+
+    def write(name, graph):
+        (dest / name).write_text(json.dumps(emit_json(graph)), encoding="utf-8")
+        return name
+
+    references = [random_graph(rng) for _ in range(n_segments)]
+    rows = []
+    for system in range(systems):
+        for i, reference in enumerate(references):
+            candidate = random_graph(rng, tokens=mutate_tokens(rng, reference.tokens()))
+            rows.append((f"sys{system}", i, write(f"sys{system}.{i}.json", candidate), write(f"ref.{i}.json", reference)))
+    rows.append(("self", 1, "ref.1.json", "ref.1.json"))
+    with open(dest / "manifest.jsonl", "w", encoding="utf-8") as manifest:
+        for system, i, candidate, reference in rows:
+            record = {
+                "lang_pair": ("aa-en", "bb-en")[i % 2],
+                "system": system,
+                "segment_id": i,
+                "candidate_ucca": candidate,
+                "reference_ucca": reference,
+                "human_score": rng.random(),
+            }
+            manifest.write(json.dumps(record) + "\n")
+    return load_dataset(dest / "manifest.jsonl")
+
+
+@pytest.fixture(scope="module")
+def shared_records(tmp_path_factory):
+    return write_shared_corpus(tmp_path_factory.mktemp("shared"))
+
+
+@pytest.fixture(scope="module")
+def corrupt_shared_records(tmp_path_factory):
+    """The shared corpus with one corrupt reference (every system's
+    record of segment 2 points at it) and one corrupt candidate."""
+    records = write_shared_corpus(tmp_path_factory.mktemp("corrupt"), seed=1)
+    corrupt = {records[2].reference_ucca, records[9].candidate_ucca}
+    for path in corrupt:
+        path.write_text("{not json")
+    assert sum(r.candidate_ucca in corrupt or r.reference_ucca in corrupt for r in records) == 4
+    return records
+
+
+def random_table(records):
+    rng = random.Random(3)
+    return ExternalScoreTable(metric_name="meteor", rows={(r.system, r.segment_id): rng.random() for r in records})
+
+
+def per_record(monkeypatch, run):
+    """``run()`` with the per-record preparation oracle in place of the
+    library's, or the text of the DatasetError it raises."""
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "_prepare_segments", prepare_segments_per_record)
+        try:
+            return run()
+        except DatasetError as exc:
+            return str(exc)
+
+
+class TestSharedFiles:
+    """Each distinct file is loaded once per run and its features are
+    shared by every record that names it; the results must be those of
+    loading both graphs of every record, bit for bit."""
+
+    GRID = TuneGrid(
+        alpha1=(0.0, 0.5), alpha2=(0.0, 1.0), alpha3=(0.5,), alpha4=(0.0, 0.01), beta=(0.1, 0.5), omega=(0.0, 0.5)
+    )
+
+    @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records"])
+    @pytest.mark.parametrize("table", [False, True], ids=["bleu", "tsv"])
+    def test_matches_per_record_oracle(self, request, monkeypatch, fixture, table):
+        records = request.getfixturevalue(fixture)
+        base = random_table(records) if table else "bleu"
+        for run in (
+            lambda: evaluate(records, SwssParams(), base=base).to_dict(),
+            lambda: evaluate(records, SwssParams(include_remote_critical_edges=True), base=base).to_dict(),
+            lambda: grid_search(records, self.GRID, base=base),
+        ):
+            expected = per_record(monkeypatch, run)
+            assert run() == expected
+
+    def test_strict_raises_like_oracle_at_first_record_of_a_corrupt_file(self, monkeypatch, corrupt_shared_records):
+        records = corrupt_shared_records
+        for run in (
+            lambda: evaluate(records, SwssParams(), strict=True),
+            lambda: grid_search(records, self.GRID, strict=True),
+        ):
+            expected = per_record(monkeypatch, run)
+            assert expected.startswith(f"record {records[2].label}: {records[2].reference_ucca}: malformed JSON")
+            with pytest.raises(DatasetError) as info:
+                run()
+            assert str(info.value) == expected
+
+    def test_lenient_skips_every_record_of_a_corrupt_file(self, corrupt_shared_records, caplog):
+        with caplog.at_level(logging.WARNING):
+            report = evaluate(corrupt_shared_records, SwssParams())
+        assert report.skipped == 4
+        assert caplog.text.count("skipping record") == 4
+
+    def count_loads(self, monkeypatch, records):
+        loads = Counter()
+        real = harness.load_graph
+
+        def counting(path, lenient=False):
+            loads[path] += 1
+            return real(path, lenient=lenient)
+
+        monkeypatch.setattr(harness, "load_graph", counting)
+        evaluate(records, SwssParams())
+        return loads
+
+    def test_each_distinct_file_is_loaded_once(self, monkeypatch, shared_records):
+        loads = self.count_loads(monkeypatch, shared_records)
+        distinct = {p for r in shared_records for p in (r.candidate_ucca, r.reference_ucca)}
+        assert loads == Counter(distinct)
+        assert sum(loads.values()) < 2 * len(shared_records)
+
+    def test_corrupt_files_are_loaded_once_too(self, monkeypatch, corrupt_shared_records):
+        loads = self.count_loads(monkeypatch, corrupt_shared_records)
+        assert set(loads.values()) == {1}
+
+    def test_features_are_kept_only_until_last_use(self, monkeypatch, shared_records, corrupt_shared_records, tmp_path):
+        # Every file of the synthetic corpus is single-use, so nothing may be kept there.
+        unique = load_dataset(write_synthetic_dataset(tmp_path, n_segments=6, seed=2))
+        cache_class = harness._FeatureCache
+        for records in (shared_records, corrupt_shared_records, unique):
+            later = Counter(p for r in records for p in (r.candidate_ucca, r.reference_ucca))
+            loaded = set()
+
+            class Checked(cache_class):
+                def take(self, path, load=True):
+                    found = super().take(path, load)
+                    later[path] -= 1
+                    if found is not None:
+                        loaded.add(path)
+                    assert set(self._kept) == {p for p in loaded if later[p] > 0}
+                    return found
+
+            monkeypatch.setattr(harness, "_FeatureCache", Checked)
+            evaluate(records, SwssParams())
+            # Every use was counted, also that of a reference whose candidate failed.
+            assert set(later.values()) == {0}

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from oracles import max_matching_bruteforce, max_weight_matching_bruteforce
+from oracles import max_matching_bruteforce, max_weight_matching_bruteforce, swss_from_graphs
 from swss.core_words import CORE_CATEGORIES, CoreWord, CoreWordBag
 from swss.scoring import GraphStats, ScoreBreakdown, SwssParams, combine, f1_score, ratio_penalty, swss
 from swss.synthetic import random_pair
@@ -290,6 +290,21 @@ class TestSwss:
         low = SwssParams()
         high = dataclasses.replace(low, **{name: getattr(low, name) + 1.0})
         assert swss(candidate, reference, high).swss <= swss(candidate, reference, low).swss
+
+    @given(
+        st.integers(min_value=0, max_value=20_000),
+        st.none() | st.dictionaries(st.sampled_from(list(Category)), st.floats(0.1, 5.0), max_size=4),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_features_path_matches_graph_based_oracle(self, seed, weights, remote, fallback_penalized):
+        candidate, reference = random_pair(random.Random(seed))
+        params = SwssParams(
+            category_weights=weights,
+            include_remote_critical_edges=remote,
+            fallback_applies_penalties=fallback_penalized,
+        )
+        assert swss(candidate, reference, params).to_dict() == swss_from_graphs(candidate, reference, params).to_dict()
 
     def test_equal_counts_leave_only_length(self, figure_graph):
         params = SwssParams(alpha4=0.1)

@@ -1,13 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import DATA_DIR, make_graph
 from oracles import isomorphic
 from swss.cli import main
 from swss.errors import GraphError
@@ -427,3 +429,103 @@ class TestMalformedFiles:
     def test_inspect_exits_one(self, bad_file, capsys):
         assert main(["inspect", str(bad_file)]) == 1
         assert str(bad_file) in capsys.readouterr().err
+
+
+FIXTURE_BYTES = {fmt: (DATA_DIR / f"figure_sentence.{fmt}").read_bytes() for fmt in ("xml", "json")}
+
+
+@st.composite
+def byte_mutants(draw, fmt):
+    """A figure fixture with a few bytes replaced, deleted or inserted."""
+    data = bytearray(FIXTURE_BYTES[fmt])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "replace":
+            data[at] = draw(st.integers(0, 255))
+        elif op == "delete":
+            del data[at]
+        else:
+            data.insert(at, draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+# Values that parse as something in one field and mean nothing in another.
+_ODD_VALUES = ["", "0", "-1", "1", "9", "10", "x", "1.5", "1e3", "99999999999999999999", "true", "false",
+               "H", "A", "P", "Terminal", "FN", "Word", "1.1", "1.2", "0.1", "0.9", "t1", "top", "scene"]
+
+
+@st.composite
+def xml_attribute_mutants(draw):
+    """The XML fixture with one attribute value replaced."""
+    text = FIXTURE_BYTES["xml"].decode("utf-8")
+    spans = [m.span(1) for m in re.finditer(r'\w+="([^"]*)"', text)]
+    start, end = draw(st.sampled_from(spans))
+    value = draw(st.sampled_from(_ODD_VALUES) | st.text(max_size=4))
+    return (text[:start] + value + text[end:]).encode("utf-8", "surrogatepass")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.sampled_from(_ODD_VALUES) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "terminal", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def json_attribute_mutants(draw):
+    """The JSON fixture with one value anywhere in the document replaced
+    or its key removed."""
+    document = json.loads(FIXTURE_BYTES["json"])
+    slots = []
+
+    def collect(node):
+        keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            slots.append((node, key))
+            collect(node[key])
+
+    collect(document)
+    node, key = draw(st.sampled_from(slots))
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(_json_values)
+    return json.dumps(document).encode("utf-8", "surrogatepass")
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants")
+
+
+class TestIngestionFuzz:
+    """Whatever a mutated fixture holds, only GraphError leaves the
+    parsers, and ``swss inspect`` exits 0 or 1, never 2."""
+
+    def check(self, directory, fmt, document):
+        path = directory / f"mutant.{fmt}"
+        path.write_bytes(document)
+        for lenient in (False, True):
+            with contextlib.suppress(GraphError):
+                load_graph(path, lenient=lenient)
+        for argv in (["inspect", str(path)], ["inspect", "--json", "--lenient", str(path)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from(["xml", "json"]))
+    def test_byte_mutants(self, mutant_dir, data, fmt):
+        self.check(mutant_dir, fmt, data.draw(byte_mutants(fmt)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(document=xml_attribute_mutants())
+    def test_xml_attribute_mutants(self, mutant_dir, document):
+        self.check(mutant_dir, "xml", document)
+
+    @settings(max_examples=100, deadline=None)
+    @given(document=json_attribute_mutants())
+    def test_json_attribute_mutants(self, mutant_dir, document):
+        self.check(mutant_dir, "json", document)
