@@ -10,13 +10,12 @@ checks of the evaluate/tune workflow:
     swss tune /tmp/corpus/manifest.jsonl --grid grid.json
 """
 
-import argparse
-
+from swss.cli import _Parser
 from swss.synthetic import write_synthetic_dataset
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--segments", type=int, default=50)
     parser.add_argument("--lang-pairs", default="aa-en,bb-en", help="comma-separated pair names")

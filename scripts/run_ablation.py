@@ -9,17 +9,16 @@ and prints a per-language-pair comparison table:
     python3 scripts/run_ablation.py manifest.jsonl --base tsv:meteor.tsv
 """
 
-import argparse
 import json
 import sys
 
-from swss.cli import _load_params, _resolve_base
+from swss.cli import _load_params, _Parser, _resolve_base
 from swss.errors import SwssError
 from swss.harness import ABLATIONS, evaluate, load_dataset
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("manifest")
     parser.add_argument("--params", help="JSON file with parameter overrides")
     parser.add_argument("--base", default="bleu", help="base metric: 'bleu' or 'tsv:PATH'")

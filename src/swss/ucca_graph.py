@@ -226,51 +226,25 @@ def build_graph(
         if not children.get(node_id):
             raise GraphError(f"internal node {node_id!r} has no primary children")
 
-    # Single primary parent everywhere + reachability makes the primary
-    # subgraph a tree; anything unreached indicates a cycle.
-    reached = {root}
-    stack = [root]
-    while stack:
-        for child in children.get(stack.pop(), ()):
-            if child not in reached:
-                reached.add(child)
-                stack.append(child)
-    unreached = (internal | terminal_ids) - reached
-    if unreached:
-        raise GraphError(
-            f"node {sorted(unreached)[0]!r} is not reachable from the root "
-            "via primary edges (cyclic or disconnected)"
-        )
+    # With one primary parent per node, the primary edges form a tree
+    # exactly when no edge, primary or remote, closes a cycle. Peel the
+    # nodes in topological order: one left over lies on or below a cycle.
+    indegree = dict.fromkeys(seen, 0)
+    successors: dict[str, list[str]] = defaultdict(list)
+    for e in kept:
+        indegree[e.child] += 1
+        successors[e.parent].append(e.child)
+    peeled = [node for node, degree in indegree.items() if not degree]
+    for node in peeled:
+        for child in successors.get(node, ()):
+            indegree[child] -= 1
+            if not indegree[child]:
+                peeled.append(child)
+    if len(peeled) < len(indegree):
+        stuck = min(node for node, degree in indegree.items() if degree)
+        raise GraphError(f"node {stuck!r} lies on a cycle or below one")
 
-    _check_acyclic(root, internal | terminal_ids, kept)
     return UccaGraph(root=root, terminals=terminals, internal_nodes=internal, edges=tuple(kept))
-
-
-def _check_acyclic(root: str, others: set[str], edges: list[Edge]) -> None:
-    out: dict[str, list[str]] = defaultdict(list)
-    for e in edges:
-        out[e.parent].append(e.child)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in [root, *sorted(others)]}
-    for start in color:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            succs = out.get(node, ())
-            if idx == len(succs):
-                color[node] = BLACK
-                stack.pop()
-                continue
-            stack[-1] = (node, idx + 1)
-            nxt = succs[idx]
-            if color[nxt] == GRAY:
-                raise GraphError(f"remote edge into {nxt!r} creates a cycle")
-            if color[nxt] == WHITE:
-                color[nxt] = GRAY
-                stack.append((nxt, 0))
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +267,7 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
         raise GraphError(f"malformed XML: {exc}") from None
 
     terminal_entries: list[tuple[int, int, str, str]] = []
-    unit_edges: dict[str, list[tuple[str, str, bool]]] = {}
+    unit_edges: dict[str, list[tuple[str, Category, bool]]] = {}
     term_links: dict[str, list[str]] = defaultdict(list)
     implicit: set[str] = set()
 
@@ -334,8 +308,8 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
                     if tag == "Terminal":
                         term_links[node_id].append(to_id)
                     else:
-                        _category(tag, f"edge {node_id!r} -> {to_id!r}")
-                        unit_edges[node_id].append((to_id, tag, remote))
+                        category = _category(tag, f"edge {node_id!r} -> {to_id!r}")
+                        unit_edges[node_id].append((to_id, category, remote))
 
     if not terminal_entries:
         raise GraphError("no terminals in layer 0")
@@ -351,14 +325,14 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
     for node_id in unit_edges:
         unit_edges[node_id] = [e for e in unit_edges[node_id] if e[0] not in implicit]
 
-    incoming_primary: dict[str, tuple[str, str]] = {}
+    incoming_primary: dict[str, tuple[str, Category]] = {}
     for parent, edge_list in unit_edges.items():
-        for child, tag, remote in edge_list:
+        for child, category, remote in edge_list:
             if remote:
                 continue
             if child in incoming_primary:
                 raise GraphError(f"unit {child!r} has multiple primary parents")
-            incoming_primary[child] = (parent, tag)
+            incoming_primary[child] = (parent, category)
 
     roots = [n for n in unit_edges if n not in incoming_primary]
     if not roots:
@@ -383,28 +357,28 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
             raise GraphError(f"root unit {root_id!r} may not link terminals directly")
         if unit not in incoming_primary:
             raise GraphError(f"unit {unit!r} links terminals but has no incoming primary edge")
-        parent, tag = incoming_primary[unit]
+        parent, category = incoming_primary[unit]
         if unit_edges.get(unit):
             # Mixed unit: keep it, attach its words below it with the
             # category of its own incoming edge (lowest containing unit).
             for to_id in linked:
-                edges.append(Edge(unit, to_id, Category(tag)))
+                edges.append(Edge(unit, to_id, category))
             continue
         collapsed.add(unit)
         for to_id in linked:
-            edges.append(Edge(parent, to_id, Category(tag)))
+            edges.append(Edge(parent, to_id, category))
 
     for parent, edge_list in unit_edges.items():
         if parent in collapsed:
             continue
-        for child, tag, remote in edge_list:
+        for child, category, remote in edge_list:
             if child in collapsed:
                 if not remote:
                     continue  # replaced by the collapsed terminal edge
                 for to_id in term_links[child]:
-                    edges.append(Edge(parent, to_id, Category(tag), remote=True))
+                    edges.append(Edge(parent, to_id, category, remote=True))
             else:
-                edges.append(Edge(parent, child, Category(tag), remote=remote))
+                edges.append(Edge(parent, child, category, remote=remote))
 
     internal = set(unit_edges) - collapsed - {root_id}
     return build_graph(root_id, terminals, internal, edges, lenient=lenient)
@@ -449,6 +423,11 @@ def graph_from_dict(obj: object, lenient: bool = False) -> UccaGraph:
     tokens = obj["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise GraphError("tokens: expected a list of strings")
+    for i, text in enumerate(tokens):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise GraphError(f"tokens[{i}]: lone surrogate in {text!r}") from None
     terminals = [Terminal(id=f"t{i}", text=text, position=i) for i, text in enumerate(tokens, 1)]
 
     nodes = obj["nodes"]

@@ -4,14 +4,16 @@ These deliberately share no code with the library: the matching oracles
 are exhaustive subset searches, the BLEU oracle uses explicit n-gram lists
 and the product form of the geometric mean, the correlation oracle uses
 the raw-moment formula, and the isomorphism check compares canonical
-forms of the primary tree. The grid-search, scoring and preparation
-oracles are the exception: they are the slower paths the library replaced
-(exhaustive grid loop, scoring straight from graphs, loading both graphs of
-every record), which the fast paths must agree with bit for bit.
+forms of the primary tree. The graph-validation, grid-search, scoring and
+preparation oracles are the exception: they are the slower paths the
+library replaced (a reachability walk plus a three-colour DFS, exhaustive
+grid loop, scoring straight from graphs, loading both graphs of every
+record), which the fast paths must agree with bit for bit.
 """
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import replace
 from functools import lru_cache
 
@@ -253,3 +255,110 @@ def prepare_segments_per_record(records, params, base, strict):
     if not prepared:
         raise DatasetError("no segments could be evaluated")
     return prepared, skipped
+
+
+def build_graph_reference(root, terminals, internal_nodes, edges, lenient=False):
+    """``swss.ucca_graph.build_graph`` as it was before one topological
+    peel replaced its last two checks: a walk over primary edges from the
+    root, then a three-colour depth-first search over all edges. Same
+    arguments, result and errors, except the text of a cycle error."""
+    from swss.errors import GraphError
+    from swss.ucca_graph import UccaGraph
+
+    terminals = tuple(sorted(terminals, key=lambda t: t.position))
+    internal = frozenset(internal_nodes) - {root}
+
+    seen = set()
+    for node_id in [root, *internal, *(t.id for t in terminals)]:
+        if node_id in seen:
+            raise GraphError(f"duplicate node id {node_id!r}")
+        seen.add(node_id)
+
+    for i, t in enumerate(terminals, start=1):
+        if not t.text:
+            raise GraphError(f"terminal {t.id!r} has empty text")
+        if t.position != i:
+            raise GraphError(
+                f"terminal positions must form a contiguous 1..n sequence; "
+                f"got position {t.position} where {i} was expected (terminal {t.id!r})"
+            )
+
+    terminal_ids = {t.id for t in terminals}
+    kept = []
+    for e in edges:
+        if e.parent == e.child:
+            raise GraphError(f"self-loop on node {e.parent!r}")
+        dangling = e.parent not in seen or e.child not in seen
+        if dangling:
+            if e.remote and lenient:
+                continue
+            missing = e.parent if e.parent not in seen else e.child
+            raise GraphError(f"edge {e.parent!r} -> {e.child!r} references unknown node {missing!r}")
+        if e.parent in terminal_ids:
+            raise GraphError(f"terminal {e.parent!r} cannot have outgoing edges")
+        kept.append(e)
+    kept.sort(key=lambda e: (e.remote, e.parent, e.child, e.category.value))
+
+    primary_parents = defaultdict(list)
+    children = defaultdict(list)
+    for e in kept:
+        if not e.remote:
+            primary_parents[e.child].append(e.parent)
+            children[e.parent].append(e.child)
+
+    if root in primary_parents:
+        raise GraphError(f"root {root!r} has an incoming primary edge")
+    for node_id in sorted(internal) + [t.id for t in terminals]:
+        n_parents = len(primary_parents.get(node_id, ()))
+        if n_parents == 0:
+            kind = "terminal" if node_id in terminal_ids else "node"
+            raise GraphError(f"{kind} {node_id!r} has no incoming primary edge")
+        if n_parents > 1:
+            raise GraphError(
+                f"node {node_id!r} has multiple primary parents: "
+                + ", ".join(repr(p) for p in sorted(primary_parents[node_id]))
+            )
+    for node_id in [root, *sorted(internal)]:
+        if not children.get(node_id):
+            raise GraphError(f"internal node {node_id!r} has no primary children")
+
+    reached = {root}
+    stack = [root]
+    while stack:
+        for child in children.get(stack.pop(), ()):
+            if child not in reached:
+                reached.add(child)
+                stack.append(child)
+    unreached = (internal | terminal_ids) - reached
+    if unreached:
+        raise GraphError(
+            f"node {sorted(unreached)[0]!r} is not reachable from the root "
+            "via primary edges (cyclic or disconnected)"
+        )
+
+    out = defaultdict(list)
+    for e in kept:
+        out[e.parent].append(e.child)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in [root, *sorted(internal | terminal_ids)]}
+    for start in color:
+        if color[start] != WHITE:
+            continue
+        stack = [(start, 0)]
+        color[start] = GRAY
+        while stack:
+            node, idx = stack[-1]
+            succs = out.get(node, ())
+            if idx == len(succs):
+                color[node] = BLACK
+                stack.pop()
+                continue
+            stack[-1] = (node, idx + 1)
+            nxt = succs[idx]
+            if color[nxt] == GRAY:
+                raise GraphError(f"remote edge into {nxt!r} creates a cycle")
+            if color[nxt] == WHITE:
+                color[nxt] = GRAY
+                stack.append((nxt, 0))
+
+    return UccaGraph(root=root, terminals=terminals, internal_nodes=internal, edges=tuple(kept))

@@ -264,6 +264,13 @@ class TestAblationScript:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    def test_usage_error_exits_one(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as info:
+            self.run_script(monkeypatch)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "manifest" in err
+
     def test_bare_path_base_gets_cli_error(self, capsys, monkeypatch, corpus):
         with pytest.raises(SystemExit) as info:
             self.run_script(monkeypatch, str(corpus), "--base", "meteor.tsv")

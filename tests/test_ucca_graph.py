@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_graph
-from oracles import isomorphic
+from oracles import build_graph_reference, isomorphic
 from swss.cli import main
 from swss.errors import GraphError
 from swss.harness import evaluate, load_dataset
@@ -261,6 +261,52 @@ class TestValidation:
         with pytest.raises(GraphError, match="cycle"):
             make_graph(["Hi"], edges)
 
+    def test_primary_cycle_cut_off_from_the_root_rejected(self):
+        terminals = [Terminal("t1", "Hi", 1), Terminal("t2", "ho", 2)]
+        edges = [
+            Edge("r", "u", Category.PARALLEL_SCENE),
+            Edge("u", "t1", Category.CENTER),
+            Edge("a", "b", Category.PARTICIPANT),
+            Edge("b", "a", Category.PARTICIPANT),
+            Edge("b", "t2", Category.CENTER),
+        ]
+        with pytest.raises(GraphError, match=r"node 'a' .*cycl"):
+            build_graph("r", terminals, ["u", "a", "b"], edges)
+
+    def test_remote_edge_into_the_root_rejected(self):
+        edges = [("r", "u", "H"), ("u", 1, "C"), ("u", "r", "A", True)]
+        with pytest.raises(GraphError, match=r"'r' .*cycle"):
+            make_graph(["Hi"], edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_agrees_with_reference_validator(self, rng):
+        """Same accept or reject as the replaced validator, the same graph
+        on accept, and the same message for every error but a cycle."""
+        graph = random_graph(rng)
+        parents = [graph.root, *sorted(graph.internal_nodes)]
+        nodes = parents + [t.id for t in graph.terminals]
+        edges = list(graph.edges)
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                edges.append(Edge(rng.choice(parents), rng.choice(nodes), rng.choice(list(Category)), remote=True))
+        else:
+            i = rng.choice([k for k, e in enumerate(edges) if not e.remote])
+            edges[i] = dataclasses.replace(edges[i], parent=rng.choice(parents))
+        rng.shuffle(edges)
+        parts = (graph.root, graph.terminals, graph.internal_nodes, edges)
+        try:
+            expected = build_graph_reference(*parts)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as info:
+                build_graph(*parts)
+            if "cycl" in str(exc):
+                assert "cycle" in str(info.value)
+            else:
+                assert str(info.value) == str(exc)
+        else:
+            assert build_graph(*parts) == expected
+
     def test_remote_reentrancy_allowed(self):
         edges = [
             ("r", "u", "H"),
@@ -401,12 +447,24 @@ MALFORMED_FILES = {
     "bad-position.xml": _bad_position,
     "bad-bytes.json": lambda _: b"\xff\xfe{",
     "deep-nesting.json": lambda _: b"[" * 100_000,
+    "lone-surrogate.json": lambda _: json.dumps(
+        {
+            "tokens": ["a\ud800b"],
+            "nodes": [{"id": "r"}, {"id": "u"}],
+            "root": "r",
+            "edges": [
+                {"parent": "r", "child": "u", "category": "H"},
+                {"parent": "u", "child": {"terminal": 1}, "category": "C"},
+            ],
+        }
+    ).encode(),
 }
 
 
 class TestMalformedFiles:
     """Inputs that once escaped as ValueError, UnicodeDecodeError or
-    RecursionError: each must be a GraphError naming the file, which a
+    RecursionError, or that loaded and then failed to print (a token with
+    a lone surrogate): each must be a GraphError naming the file, which a
     non-strict run skips and counts and the CLI reports with exit code 1."""
 
     @pytest.fixture(params=sorted(MALFORMED_FILES))
@@ -452,7 +510,8 @@ def byte_mutants(draw, fmt):
 
 # Values that parse as something in one field and mean nothing in another.
 _ODD_VALUES = ["", "0", "-1", "1", "9", "10", "x", "1.5", "1e3", "99999999999999999999", "true", "false",
-               "H", "A", "P", "Terminal", "FN", "Word", "1.1", "1.2", "0.1", "0.9", "t1", "top", "scene"]
+               "H", "A", "P", "Terminal", "FN", "Word", "1.1", "1.2", "0.1", "0.9", "t1", "top", "scene",
+               "a\ud800b"]
 
 
 @st.composite
@@ -501,7 +560,9 @@ def mutant_dir(tmp_path_factory):
 
 class TestIngestionFuzz:
     """Whatever a mutated fixture holds, only GraphError leaves the
-    parsers, and ``swss inspect`` exits 0 or 1, never 2."""
+    parsers, and ``swss inspect`` exits 0, or 1 with an error that names
+    the file, never 2. Its output is encoded as UTF-8, as on a terminal,
+    so text that cannot be encoded shows."""
 
     def check(self, directory, fmt, document):
         path = directory / f"mutant.{fmt}"
@@ -511,9 +572,10 @@ class TestIngestionFuzz:
                 load_graph(path, lenient=lenient)
         for argv in (["inspect", str(path)], ["inspect", "--json", "--lenient", str(path)]):
             err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")), \
+                    contextlib.redirect_stderr(err):
                 code = main(argv)
-            assert code in (0, 1), err.getvalue()
+            assert code == 0 or code == 1 and str(path) in err.getvalue(), err.getvalue()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), fmt=st.sampled_from(["xml", "json"]))
