@@ -28,14 +28,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _load_json_object(path, kind: str, from_dict):
+    """Read a JSON object from ``path`` and build it with ``from_dict``;
+    every error names the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: malformed JSON: nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: {kind} file must hold a JSON object")
+    try:
+        return from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_params(path) -> SwssParams:
     if path is None:
         return SwssParams()
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: parameter file must hold a JSON object")
-    return SwssParams.from_dict(data)
+    return _load_json_object(path, "parameter", SwssParams.from_dict)
 
 
 def _resolve_base(spec: str):
@@ -90,11 +104,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    with open(args.grid, encoding="utf-8") as handle:
-        grid_data = json.load(handle)
-    if not isinstance(grid_data, dict):
-        raise ValueError(f"{args.grid}: grid file must hold a JSON object")
-    grid = TuneGrid.from_dict(grid_data)
+    grid = _load_json_object(args.grid, "grid", TuneGrid.from_dict)
     base = _resolve_base(args.base)
     records = load_dataset(args.manifest)
     logger.info("tuning on %d records over %d grid points", len(records), grid.size)

@@ -109,39 +109,46 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
         raise DatasetError(f"manifest not found: {manifest}")
     base_dir = manifest.parent
     records: list[SegmentRecord] = []
-    with open(manifest, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{manifest}:{lineno}: malformed JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise DatasetError(f"{manifest}:{lineno}: expected a JSON object")
-            unknown = set(obj) - set(_MANIFEST_FIELDS)
-            if unknown:
-                raise DatasetError(f"{manifest}:{lineno}: unknown field {sorted(unknown)[0]!r}")
-            for name, types in _MANIFEST_FIELDS.items():
-                if name not in obj:
-                    raise DatasetError(f"{manifest}:{lineno}: missing field {name!r}")
-                if not isinstance(obj[name], types) or isinstance(obj[name], bool):
-                    raise DatasetError(f"{manifest}:{lineno}: field {name!r} has the wrong type")
-            human = float(obj["human_score"])
-            if not math.isfinite(human):
-                raise DatasetError(f"{manifest}:{lineno}: human_score must be finite")
-            record = SegmentRecord(
-                lang_pair=obj["lang_pair"],
-                system=obj["system"],
-                segment_id=obj["segment_id"],
-                candidate_ucca=base_dir / obj["candidate_ucca"],
-                reference_ucca=base_dir / obj["reference_ucca"],
-                human_score=human,
-            )
-            for path in (record.candidate_ucca, record.reference_ucca):
-                if not path.is_file():
-                    raise DatasetError(f"record {record.label}: missing UCCA file {path}")
-            records.append(record)
+    try:
+        with open(manifest, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{manifest}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise DatasetError(f"{manifest}:{lineno}: malformed JSON: {exc}") from None
+        except RecursionError:
+            raise DatasetError(f"{manifest}:{lineno}: malformed JSON: nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise DatasetError(f"{manifest}:{lineno}: expected a JSON object")
+        unknown = set(obj) - set(_MANIFEST_FIELDS)
+        if unknown:
+            raise DatasetError(f"{manifest}:{lineno}: unknown field {sorted(unknown)[0]!r}")
+        for name, types in _MANIFEST_FIELDS.items():
+            if name not in obj:
+                raise DatasetError(f"{manifest}:{lineno}: missing field {name!r}")
+            if not isinstance(obj[name], types) or isinstance(obj[name], bool):
+                raise DatasetError(f"{manifest}:{lineno}: field {name!r} has the wrong type")
+        human = obj["human_score"]
+        # False for NaN, and for an int too large to become a float.
+        if not -sys.float_info.max <= human <= sys.float_info.max:
+            raise DatasetError(f"{manifest}:{lineno}: human_score must be finite")
+        record = SegmentRecord(
+            lang_pair=obj["lang_pair"],
+            system=obj["system"],
+            segment_id=obj["segment_id"],
+            candidate_ucca=base_dir / obj["candidate_ucca"],
+            reference_ucca=base_dir / obj["reference_ucca"],
+            human_score=float(human),
+        )
+        for path in (record.candidate_ucca, record.reference_ucca):
+            if not path.is_file():
+                raise DatasetError(f"record {record.label}: missing UCCA file {path}")
+        records.append(record)
     if not records:
         logger.warning("manifest %s contains no records", manifest)
     return records
@@ -402,11 +409,13 @@ class TuneGrid:
     def __post_init__(self):
         for field_ in fields(self):
             values = getattr(self, field_.name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"grid for {field_.name!r} must be a list of numbers, got {values!r}")
             if not values:
                 raise ValueError(f"grid for {field_.name!r} must not be empty")
             cleaned = []
             for v in values:
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or v < 0:
+                if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v <= sys.float_info.max:
                     raise ValueError(f"grid value {v!r} for {field_.name!r} must be finite and >= 0")
                 cleaned.append(float(v))
             if field_.name == "omega" and max(cleaned) > 1.0:
@@ -426,7 +435,7 @@ class TuneGrid:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown grid parameter {sorted(unknown)[0]!r}")
-        return cls(**{k: tuple(v) for k, v in data.items()})
+        return cls(**data)
 
 
 # Screening bounds of the closed-form grid search. Every point whose

@@ -105,27 +105,31 @@ def load_external_scores(path, metric_name: str = "") -> ExternalScoreTable:
     if not path.is_file():
         raise DatasetError(f"score table not found: {path}")
     rows: dict[tuple[str, int], float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DatasetError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
-            system, raw_segment, raw_score = parts
-            try:
-                segment_id = int(raw_segment)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: segment id {raw_segment!r} is not an integer") from None
-            try:
-                score = float(raw_score)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: score {raw_score!r} is not a number") from None
-            if not math.isfinite(score):
-                raise DatasetError(f"{path}:{lineno}: score must be finite, got {raw_score!r}")
-            key = (system, segment_id)
-            if key in rows:
-                raise DatasetError(f"{path}:{lineno}: duplicate entry for system {system!r}, segment {segment_id}")
-            rows[key] = score
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DatasetError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
+        system, raw_segment, raw_score = parts
+        try:
+            segment_id = int(raw_segment)
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: segment id {raw_segment!r} is not an integer") from None
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: score {raw_score!r} is not a number") from None
+        if not math.isfinite(score):
+            raise DatasetError(f"{path}:{lineno}: score must be finite, got {raw_score!r}")
+        key = (system, segment_id)
+        if key in rows:
+            raise DatasetError(f"{path}:{lineno}: duplicate entry for system {system!r}, segment {segment_id}")
+        rows[key] = score
     return ExternalScoreTable(metric_name=metric_name or path.stem, rows=rows)

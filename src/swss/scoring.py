@@ -14,8 +14,10 @@ metric as base + beta * score.
 """
 
 import math
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from typing import Optional
 
 from .core_words import CoreWordBag, clipped_match, extract_core_words
 from .ucca_graph import Category, UccaGraph
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 _SCALARS = ("alpha1", "alpha2", "alpha3", "alpha4", "beta", "omega")
+_FLAGS = ("fallback_applies_penalties", "include_remote_critical_edges")
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,26 @@ class SwssParams:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value) or value < 0:
+            # False for NaN, and for an int too large to become a float.
+            if not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega!r}")
+        for name in _FLAGS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
         if self.category_weights is not None:
+            if not isinstance(self.category_weights, Mapping):
+                raise ValueError(f"category_weights must be a mapping, got {self.category_weights!r}")
             for category, weight in self.category_weights.items():
                 if not isinstance(category, Category):
                     raise ValueError(f"category_weights key {category!r} is not a Category")
-                if not (isinstance(weight, (int, float)) and math.isfinite(weight) and weight > 0):
+                if (
+                    not isinstance(weight, (int, float))
+                    or isinstance(weight, bool)
+                    or not 0 < weight <= sys.float_info.max
+                ):
                     raise ValueError(f"weight for {category.value} must be a positive number")
 
     def weight(self, category: Category) -> float:
@@ -95,6 +109,8 @@ class SwssParams:
         kwargs = dict(data)
         weights = kwargs.get("category_weights")
         if weights is not None:
+            if not isinstance(weights, Mapping):
+                raise ValueError(f"category_weights must be an object mapping codes to weights, got {weights!r}")
             converted = {}
             for code, weight in weights.items():
                 try:

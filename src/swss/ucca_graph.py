@@ -17,7 +17,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Union
+from operator import attrgetter, itemgetter
+from typing import Iterable, NamedTuple, Union
 
 from .errors import GraphError
 
@@ -54,6 +55,12 @@ class Category(Enum):
     LINKER = "L"
     PUNCTUATION = "U"
 
+    # Members are singletons and compare by identity, so the identity hash
+    # agrees with equality; Enum's own hash hashes the name in Python code.
+    __hash__ = object.__hash__
+
+
+_CATEGORY_BY_CODE = {c.value: c for c in Category}
 
 # A unit is a scene when its main relation is a process or a state.
 SCENE_CATEGORIES = frozenset({Category.PROCESS, Category.STATE})
@@ -62,15 +69,17 @@ SCENE_CATEGORIES = frozenset({Category.PROCESS, Category.STATE})
 CRITICAL_CATEGORIES = frozenset({Category.PROCESS, Category.STATE, Category.PARTICIPANT})
 
 
-def _category(code: str, where: str) -> Category:
+def _category(code: str, parent: str, child: str) -> Category:
     try:
-        return Category(code)
-    except ValueError:
-        raise GraphError(f"unknown category code {code!r} on {where}") from None
+        return _CATEGORY_BY_CODE[code]
+    except KeyError:
+        raise GraphError(f"unknown category code {code!r} on edge {parent!r} -> {child!r}") from None
 
 
-@dataclass(frozen=True)
-class Terminal:
+# Terminal and Edge are named tuples: cheap to build, immutable and
+# hashable. Like any tuple they compare equal to the plain tuple of their
+# fields; two values of one type compare field by field.
+class Terminal(NamedTuple):
     """A word token; ``position`` is its 1-based place in the sentence."""
 
     id: str
@@ -78,8 +87,7 @@ class Terminal:
     position: int
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A labeled parent -> child link; ``remote`` marks secondary roles."""
 
     parent: str
@@ -155,6 +163,11 @@ class UccaGraph:
         )
 
 
+_BY_POSITION = attrgetter("position")
+# Enum's ``value`` is a Python-level property; ``_value_`` is a plain attribute.
+_EDGE_ORDER = attrgetter("remote", "parent", "child", "category._value_")
+
+
 def build_graph(
     root: str,
     terminals: Iterable[Terminal],
@@ -169,14 +182,17 @@ def build_graph(
     instead of rejected (real parser output is imperfect); every other
     check stays strict.
     """
-    terminals = tuple(sorted(terminals, key=lambda t: t.position))
+    terminals = tuple(sorted(terminals, key=_BY_POSITION))
     internal = frozenset(internal_nodes) - {root}
+    terminal_ids = [t.id for t in terminals]
 
-    seen: set[str] = set()
-    for node_id in [root, *internal, *(t.id for t in terminals)]:
-        if node_id in seen:
-            raise GraphError(f"duplicate node id {node_id!r}")
-        seen.add(node_id)
+    seen = {root, *internal, *terminal_ids}
+    if len(seen) < 1 + len(internal) + len(terminal_ids):
+        seen = set()
+        for node_id in [root, *internal, *terminal_ids]:
+            if node_id in seen:
+                raise GraphError(f"duplicate node id {node_id!r}")
+            seen.add(node_id)
 
     for i, t in enumerate(terminals, start=1):
         if not t.text:
@@ -187,54 +203,64 @@ def build_graph(
                 f"got position {t.position} where {i} was expected (terminal {t.id!r})"
             )
 
-    terminal_ids = {t.id for t in terminals}
+    is_terminal = set(terminal_ids)
     kept: list[Edge] = []
+    primary_parent: dict[str, str] = {}
+    n_remote = 0
+    indegree = dict.fromkeys(seen, 0)
+    successors: dict[str, list[str]] = defaultdict(list)
     for e in edges:
-        if e.parent == e.child:
-            raise GraphError(f"self-loop on node {e.parent!r}")
-        dangling = e.parent not in seen or e.child not in seen
-        if dangling:
-            if e.remote and lenient:
+        parent, child, _, remote = e
+        if parent == child:
+            raise GraphError(f"self-loop on node {parent!r}")
+        if parent not in seen or child not in seen:
+            if remote and lenient:
                 continue
-            missing = e.parent if e.parent not in seen else e.child
-            raise GraphError(f"edge {e.parent!r} -> {e.child!r} references unknown node {missing!r}")
-        if e.parent in terminal_ids:
-            raise GraphError(f"terminal {e.parent!r} cannot have outgoing edges")
+            missing = parent if parent not in seen else child
+            raise GraphError(f"edge {parent!r} -> {child!r} references unknown node {missing!r}")
+        if parent in is_terminal:
+            raise GraphError(f"terminal {parent!r} cannot have outgoing edges")
         kept.append(e)
-    kept.sort(key=lambda e: (e.remote, e.parent, e.child, e.category.value))
+        indegree[child] += 1
+        successors[parent].append(child)
+        if remote:
+            n_remote += 1
+        else:
+            primary_parent[child] = parent
+    kept.sort(key=_EDGE_ORDER)
 
-    primary_parents: dict[str, list[str]] = defaultdict(list)
-    children: dict[str, list[str]] = defaultdict(list)
-    for e in kept:
-        if not e.remote:
-            primary_parents[e.child].append(e.parent)
-            children[e.parent].append(e.child)
-
-    if root in primary_parents:
+    if root in primary_parent:
         raise GraphError(f"root {root!r} has an incoming primary edge")
-    for node_id in sorted(internal) + [t.id for t in terminals]:
-        n_parents = len(primary_parents.get(node_id, ()))
-        if n_parents == 0:
-            kind = "terminal" if node_id in terminal_ids else "node"
-            raise GraphError(f"{kind} {node_id!r} has no incoming primary edge")
-        if n_parents > 1:
-            raise GraphError(
-                f"node {node_id!r} has multiple primary parents: "
-                + ", ".join(repr(p) for p in sorted(primary_parents[node_id]))
-            )
-    for node_id in [root, *sorted(internal)]:
-        if not children.get(node_id):
-            raise GraphError(f"internal node {node_id!r} has no primary children")
+    # One primary parent per node but the root, unless a child was seen
+    # twice or a node never: then find the first offender in id order.
+    if not len(primary_parent) == len(kept) - n_remote == len(seen) - 1:
+        primary_parents: dict[str, list[str]] = defaultdict(list)
+        for e in kept:
+            if not e.remote:
+                primary_parents[e.child].append(e.parent)
+        for node_id in sorted(internal) + terminal_ids:
+            n_parents = len(primary_parents.get(node_id, ()))
+            if n_parents == 0:
+                kind = "terminal" if node_id in is_terminal else "node"
+                raise GraphError(f"{kind} {node_id!r} has no incoming primary edge")
+            if n_parents > 1:
+                raise GraphError(
+                    f"node {node_id!r} has multiple primary parents: "
+                    + ", ".join(repr(p) for p in sorted(primary_parents[node_id]))
+                )
+    # Parents are never terminals, so they are all present exactly when
+    # there are as many as the root plus the internal nodes.
+    with_children = set(primary_parent.values())
+    if len(with_children) <= len(internal):
+        for node_id in [root, *sorted(internal)]:
+            if node_id not in with_children:
+                raise GraphError(f"internal node {node_id!r} has no primary children")
 
     # With one primary parent per node, the primary edges form a tree
     # exactly when no edge, primary or remote, closes a cycle. Peel the
     # nodes in topological order: one left over lies on or below a cycle.
-    indegree = dict.fromkeys(seen, 0)
-    successors: dict[str, list[str]] = defaultdict(list)
-    for e in kept:
-        indegree[e.child] += 1
-        successors[e.parent].append(e.child)
-    peeled = [node for node, degree in indegree.items() if not degree]
+    # Only the root lacks a primary parent, so only it can start the peel.
+    peeled = [] if indegree[root] else [root]
     for node in peeled:
         for child in successors.get(node, ()):
             indegree[child] -= 1
@@ -297,33 +323,34 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
                 attrs = node.find("attributes")
                 if attrs is not None and _xml_flag(attrs.get("implicit")):
                     implicit.add(node_id)
-                unit_edges.setdefault(node_id, [])
+                out = unit_edges.setdefault(node_id, [])
                 for edge in node.findall("edge"):
                     to_id = edge.get("toID")
                     tag = edge.get("type")
                     if to_id is None or tag is None:
                         raise GraphError(f"edge of unit {node_id!r} lacks toID or type")
-                    edge_attrs = edge.find("attributes")
-                    remote = edge_attrs is not None and _xml_flag(edge_attrs.get("remote"))
                     if tag == "Terminal":
                         term_links[node_id].append(to_id)
-                    else:
-                        category = _category(tag, f"edge {node_id!r} -> {to_id!r}")
-                        unit_edges[node_id].append((to_id, category, remote))
+                        continue
+                    edge_attrs = edge.find("attributes")
+                    remote = edge_attrs is not None and _xml_flag(edge_attrs.get("remote"))
+                    out.append((to_id, _category(tag, node_id, to_id), remote))
 
     if not terminal_entries:
         raise GraphError("no terminals in layer 0")
-    terminal_entries.sort(key=lambda entry: (entry[0], entry[1]))
-    terminals = []
-    for position, (_, _, node_id, text) in enumerate(terminal_entries, start=1):
-        terminals.append(Terminal(id=node_id, text=text, position=position))
+    terminal_entries.sort(key=_PARAGRAPH_ORDER)
+    terminals = [
+        Terminal(node_id, text, position)
+        for position, (_, _, node_id, text) in enumerate(terminal_entries, start=1)
+    ]
     terminal_ids = {t.id for t in terminals}
 
-    for node_id in implicit:
-        unit_edges.pop(node_id, None)
-        term_links.pop(node_id, None)
-    for node_id in unit_edges:
-        unit_edges[node_id] = [e for e in unit_edges[node_id] if e[0] not in implicit]
+    if implicit:
+        for node_id in implicit:
+            unit_edges.pop(node_id, None)
+            term_links.pop(node_id, None)
+        for node_id in unit_edges:
+            unit_edges[node_id] = [e for e in unit_edges[node_id] if e[0] not in implicit]
 
     incoming_primary: dict[str, tuple[str, Category]] = {}
     for parent, edge_list in unit_edges.items():
@@ -376,12 +403,15 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
                 if not remote:
                     continue  # replaced by the collapsed terminal edge
                 for to_id in term_links[child]:
-                    edges.append(Edge(parent, to_id, category, remote=True))
+                    edges.append(Edge(parent, to_id, category, True))
             else:
-                edges.append(Edge(parent, child, category, remote=remote))
+                edges.append(Edge(parent, child, category, remote))
 
     internal = set(unit_edges) - collapsed - {root_id}
     return build_graph(root_id, terminals, internal, edges, lenient=lenient)
+
+
+_PARAGRAPH_ORDER = itemgetter(0, 1)
 
 
 def _xml_flag(value: Union[str, None]) -> bool:
@@ -402,7 +432,7 @@ def parse_ucca_json(document: Union[bytes, str], lenient: bool = False) -> UccaG
     """
     try:
         obj = json.loads(document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise GraphError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise GraphError("malformed JSON: nested too deeply") from None
@@ -478,7 +508,7 @@ def graph_from_dict(obj: object, lenient: bool = False) -> UccaGraph:
         code = entry.get("category")
         if not isinstance(code, str):
             raise GraphError(f"{where}.category: expected a string")
-        category = _category(code, f"edge {parent!r} -> {child_id!r}")
+        category = _category(code, parent, child_id)
         remote = entry.get("remote", False)
         if not isinstance(remote, bool):
             raise GraphError(f"{where}.remote: expected a boolean")

@@ -4,11 +4,12 @@ These deliberately share no code with the library: the matching oracles
 are exhaustive subset searches, the BLEU oracle uses explicit n-gram lists
 and the product form of the geometric mean, the correlation oracle uses
 the raw-moment formula, and the isomorphism check compares canonical
-forms of the primary tree. The graph-validation, grid-search, scoring and
-preparation oracles are the exception: they are the slower paths the
-library replaced (a reachability walk plus a three-colour DFS, exhaustive
-grid loop, scoring straight from graphs, loading both graphs of every
-record), which the fast paths must agree with bit for bit.
+forms of the primary tree. The graph-validation, XML-parsing,
+grid-search, scoring and preparation oracles are the exception: they are
+the slower paths the library replaced (a reachability walk plus a
+three-colour DFS, the XML parser built on it, exhaustive grid loop,
+scoring straight from graphs, loading both graphs of every record), which
+the fast paths must agree with bit for bit.
 """
 
 import itertools
@@ -362,3 +363,147 @@ def build_graph_reference(root, terminals, internal_nodes, edges, lenient=False)
                 stack.append((nxt, 0))
 
     return UccaGraph(root=root, terminals=terminals, internal_nodes=internal, edges=tuple(kept))
+
+
+def parse_ucca_xml_reference(document, lenient=False):
+    """``swss.ucca_graph.parse_ucca_xml`` as it was before its ingestion
+    path was made leaner: it converts each tag with ``Category(code)``,
+    rebuilds every unit's edge list to drop implicit children, and
+    validates with ``build_graph_reference``. Same arguments, result and
+    errors, except the text of a cycle error."""
+    import xml.etree.ElementTree as ElementTree
+    from collections import defaultdict
+
+    from swss.errors import GraphError
+    from swss.ucca_graph import Category, Edge, Terminal
+
+    def _category(code, where):
+        try:
+            return Category(code)
+        except ValueError:
+            raise GraphError(f"unknown category code {code!r} on {where}") from None
+
+    def _xml_flag(value):
+        return value is not None and value.lower() in {"true", "1", "yes"}
+
+    try:
+        root_el = ElementTree.fromstring(document)
+    except ElementTree.ParseError as exc:
+        raise GraphError(f"malformed XML: {exc}") from None
+
+    terminal_entries = []
+    unit_edges = {}
+    term_links = defaultdict(list)
+    implicit = set()
+
+    for layer in root_el.iter("layer"):
+        layer_id = layer.get("layerID")
+        if layer_id == "0":
+            for node in layer.iter("node"):
+                node_id = node.get("ID")
+                attrs = node.find("attributes")
+                if node_id is None or attrs is None:
+                    raise GraphError("layer 0 node without ID or attributes")
+                text = attrs.get("text")
+                pos = attrs.get("paragraph_position")
+                if text is None or pos is None:
+                    raise GraphError(f"terminal {node_id!r} lacks text or position")
+                try:
+                    para = int(attrs.get("paragraph", "1"))
+                    position = int(pos)
+                except ValueError:
+                    raise GraphError(f"terminal {node_id!r}: paragraph and position must be integers") from None
+                terminal_entries.append((para, position, node_id, text))
+        elif layer_id == "1":
+            for node in layer.iter("node"):
+                node_id = node.get("ID")
+                if node_id is None:
+                    raise GraphError("layer 1 node without ID")
+                attrs = node.find("attributes")
+                if attrs is not None and _xml_flag(attrs.get("implicit")):
+                    implicit.add(node_id)
+                unit_edges.setdefault(node_id, [])
+                for edge in node.findall("edge"):
+                    to_id = edge.get("toID")
+                    tag = edge.get("type")
+                    if to_id is None or tag is None:
+                        raise GraphError(f"edge of unit {node_id!r} lacks toID or type")
+                    edge_attrs = edge.find("attributes")
+                    remote = edge_attrs is not None and _xml_flag(edge_attrs.get("remote"))
+                    if tag == "Terminal":
+                        term_links[node_id].append(to_id)
+                    else:
+                        category = _category(tag, f"edge {node_id!r} -> {to_id!r}")
+                        unit_edges[node_id].append((to_id, category, remote))
+
+    if not terminal_entries:
+        raise GraphError("no terminals in layer 0")
+    terminal_entries.sort(key=lambda entry: (entry[0], entry[1]))
+    terminals = []
+    for position, (_, _, node_id, text) in enumerate(terminal_entries, start=1):
+        terminals.append(Terminal(id=node_id, text=text, position=position))
+    terminal_ids = {t.id for t in terminals}
+
+    for node_id in implicit:
+        unit_edges.pop(node_id, None)
+        term_links.pop(node_id, None)
+    for node_id in unit_edges:
+        unit_edges[node_id] = [e for e in unit_edges[node_id] if e[0] not in implicit]
+
+    incoming_primary = {}
+    for parent, edge_list in unit_edges.items():
+        for child, category, remote in edge_list:
+            if remote:
+                continue
+            if child in incoming_primary:
+                raise GraphError(f"unit {child!r} has multiple primary parents")
+            incoming_primary[child] = (parent, category)
+
+    roots = [n for n in unit_edges if n not in incoming_primary]
+    if not roots:
+        raise GraphError("no root unit found (cyclic primary edges?)")
+    if len(roots) > 1:
+        raise GraphError("multiple root units: " + ", ".join(repr(r) for r in sorted(roots)))
+    root_id = roots[0]
+
+    for parent, linked in term_links.items():
+        for to_id in linked:
+            if to_id not in terminal_ids:
+                raise GraphError(f"unit {parent!r} links to unknown terminal {to_id!r}")
+
+    # Collapse pure preterminals: a unit whose only outgoing edges are
+    # terminal links disappears, and its words take over the category of
+    # its incoming primary edge (this also realizes the rule that every
+    # word of an unanalyzable unit receives the unit's label).
+    collapsed = set()
+    edges = []
+    for unit, linked in sorted(term_links.items()):
+        if unit == root_id:
+            raise GraphError(f"root unit {root_id!r} may not link terminals directly")
+        if unit not in incoming_primary:
+            raise GraphError(f"unit {unit!r} links terminals but has no incoming primary edge")
+        parent, category = incoming_primary[unit]
+        if unit_edges.get(unit):
+            # Mixed unit: keep it, attach its words below it with the
+            # category of its own incoming edge (lowest containing unit).
+            for to_id in linked:
+                edges.append(Edge(unit, to_id, category))
+            continue
+        collapsed.add(unit)
+        for to_id in linked:
+            edges.append(Edge(parent, to_id, category))
+
+    for parent, edge_list in unit_edges.items():
+        if parent in collapsed:
+            continue
+        for child, category, remote in edge_list:
+            if child in collapsed:
+                if not remote:
+                    continue  # replaced by the collapsed terminal edge
+                for to_id in term_links[child]:
+                    edges.append(Edge(parent, to_id, category, remote=True))
+            else:
+                edges.append(Edge(parent, child, category, remote=remote))
+
+    internal = set(unit_edges) - collapsed - {root_id}
+    return build_graph_reference(root_id, terminals, internal, edges, lenient=lenient)

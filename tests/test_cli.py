@@ -208,6 +208,68 @@ class TestTune:
         assert "must not be empty" in err
 
 
+NOT_UTF8 = b"\xff\xfe{"
+DEEP_LIST = b"[" * 100_000
+
+
+class TestInputFileErrors:
+    """Every input file the CLI reads: a bad file exits 1 with an error
+    that names it, never a traceback and exit 2."""
+
+    def check(self, capsys, path, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, err
+        assert err.startswith("error: ") and str(path) in err, err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            NOT_UTF8,
+            b'{"a":' * 100_000,
+            b"1" * 5000,
+            b'{"lang_pair": "de-en", "system": "s", "segment_id": 1, "candidate_ucca": "c.xml", '
+            b'"reference_ucca": "r.xml", "human_score": 1' + b"0" * 400 + b"}",
+        ],
+        ids=["bytes", "nesting", "digits", "huge-score"],
+    )
+    def test_manifest(self, capsys, tmp_path, content):
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(content)
+        self.check(capsys, path, "evaluate", str(path))
+
+    def test_tsv_base(self, capsys, tmp_path, corpus):
+        path = tmp_path / "base.tsv"
+        path.write_bytes(b"synthetic\t0\t0.5\n" + NOT_UTF8)
+        self.check(capsys, path, "evaluate", str(corpus), "--base", f"tsv:{path}")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            NOT_UTF8,
+            DEEP_LIST,
+            b'{"category_weights": []}',
+            b'{"fallback_applies_penalties": "no"}',
+            b'{"category_weights": {"P": true}}',
+            b'{"alpha1": 1' + b"0" * 400 + b"}",
+        ],
+        ids=["bytes", "nesting", "weights-list", "flag-string", "weight-bool", "huge-int"],
+    )
+    def test_params(self, capsys, tmp_path, figure_xml_path, content):
+        path = tmp_path / "params.json"
+        path.write_bytes(content)
+        self.check(capsys, path, "score", str(figure_xml_path), str(figure_xml_path), "--params", str(path))
+
+    @pytest.mark.parametrize(
+        "content",
+        [NOT_UTF8, DEEP_LIST, b'{"beta": "abc"}', b'{"beta": [1' + b"0" * 400 + b"]}"],
+        ids=["bytes", "nesting", "string", "huge-int"],
+    )
+    def test_grid(self, capsys, tmp_path, corpus, content):
+        path = tmp_path / "grid.json"
+        path.write_bytes(content)
+        self.check(capsys, path, "tune", str(corpus), "--grid", str(path))
+
+
 class TestCliSurface:
     def test_unknown_flag_rejected(self, capsys, figure_xml_path):
         code, _, err = run(capsys, "score", str(figure_xml_path), str(figure_xml_path), "--frobnicate")

@@ -327,6 +327,15 @@ class TestTuneGrid:
         with pytest.raises(ValueError, match="omega"):
             TuneGrid(omega=(0.5, 2.0))
 
+    @pytest.mark.parametrize("value", ["abc", "", 0.5, None, {"a": 1}])
+    def test_value_must_be_a_list(self, value):
+        with pytest.raises(ValueError, match="grid for 'beta' must be a list of numbers"):
+            TuneGrid.from_dict({"beta": value})
+
+    def test_value_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValueError, match="for 'alpha1' must be finite"):
+            TuneGrid.from_dict({"alpha1": [10**400]})
+
 
 def singleton_grid(**overrides):
     values = {"alpha1": (0.2,), "alpha2": (1.0,), "alpha3": (0.5,), "alpha4": (0.01,), "beta": (0.2,), "omega": (0.5,)}

@@ -41,7 +41,21 @@ class TestParams:
         assert (p.alpha1, p.alpha2, p.alpha3, p.alpha4) == (0.2, 1.0, 0.5, 0.01)
         assert (p.beta, p.omega) == (0.2, 0.5)
 
-    @pytest.mark.parametrize("bad", [{"alpha1": -0.1}, {"omega": 1.5}, {"beta": float("nan")}, {"alpha2": float("inf")}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"alpha1": -0.1},
+            {"omega": 1.5},
+            {"beta": float("nan")},
+            {"alpha2": float("inf")},
+            {"alpha3": 10**400},
+            {"fallback_applies_penalties": "no"},
+            {"include_remote_critical_edges": 0},
+            {"category_weights": []},
+            {"category_weights": {Category.PROCESS: True}},
+            {"category_weights": {Category.PROCESS: 10**400}},
+        ],
+    )
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
             SwssParams(**bad)
@@ -49,6 +63,11 @@ class TestParams:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter 'gamma'"):
             SwssParams.from_dict({"gamma": 1.0})
+
+    @pytest.mark.parametrize("weights", [[], "P", 2.0, [["P", 2.0]]])
+    def test_category_weights_must_be_an_object(self, weights):
+        with pytest.raises(ValueError, match="category_weights must be an object"):
+            SwssParams.from_dict({"category_weights": weights})
 
     def test_dict_round_trip(self):
         p = SwssParams(alpha1=0.3, category_weights={Category.PROCESS: 2.0})
