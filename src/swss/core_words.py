@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .porter import stem as porter_stem
 from .ucca_graph import Category, UccaGraph
@@ -30,8 +30,10 @@ CORE_CATEGORIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CoreWord:
+class CoreWord(NamedTuple):
+    """A core word: its text, its stem, its 1-based position in the
+    sentence, and its lowest label."""
+
     surface: str
     stem: str
     position: int
@@ -47,15 +49,6 @@ class CoreWordBag:
 
     words: tuple[CoreWord, ...]
 
-    @classmethod
-    def from_stems(cls, stems, label: Category = Category.CENTER) -> "CoreWordBag":
-        """Build a bag directly from stem strings (handy in tests and tools)."""
-        words = tuple(
-            CoreWord(surface=s, stem=s, position=i, label=label)
-            for i, s in enumerate(stems, start=1)
-        )
-        return cls(words)
-
     @cached_property
     def stem_counts(self) -> Counter:
         return Counter(w.stem for w in self.words)
@@ -67,11 +60,13 @@ class CoreWordBag:
 
 def extract_core_words(graph: UccaGraph) -> CoreWordBag:
     """Collect the graph's core words, stemmed and ordered by position."""
+    # Each terminal's lowest label: the category of its one primary edge.
+    labels = {child: category for _, child, category, remote in graph.edges if not remote}
     words = []
-    for t in graph.terminals:
-        label = graph.lowest_label(t.id)
+    for terminal_id, text, position in graph.terminals:
+        label = labels[terminal_id]
         if label in CORE_CATEGORIES:
-            words.append(CoreWord(surface=t.text, stem=porter_stem(t.text), position=t.position, label=label))
+            words.append(CoreWord(text, porter_stem(text), position, label))
     return CoreWordBag(tuple(words))
 
 

@@ -30,7 +30,7 @@ def ngram_profile(tokens: Sequence[str], n_max: int = 4) -> dict[int, Counter]:
     for n in range(1, n_max + 1):
         if len(tokens) < n:
             break
-        counts[n] = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        counts[n] = Counter(zip(*[tokens[i:] for i in range(n)]))
     return counts
 
 

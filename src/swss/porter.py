@@ -12,8 +12,6 @@ Only lowercase ASCII letter sequences are stemmed; everything else passes
 through unchanged apart from case folding.
 """
 
-_VOWELS = "aeiou"
-
 # Step 2 and 3 rule tables, dispatched on one character the way the
 # reference implementation switches: step 2 on the penultimate letter,
 # step 3 on the last. Order within a bucket matters ("entli" before "eli").
@@ -52,155 +50,122 @@ _STEP4_SUFFIXES = {
 }
 
 
-class _Word:
-    """Mutable stemming buffer.
+# Every letter but y, whose class depends on its left neighbour.
+_CONSONANT_OR_VOWEL = str.maketrans("aeioubcdfghjklmnpqrstvwxz", "v" * 5 + "c" * 20)
 
-    ``b`` holds the letters, ``k`` is the index of the last live letter,
-    and ``j`` is the offset set by the most recent suffix test. The
-    measure and shape helpers all follow the reference definitions.
+
+def _pattern(word: str) -> str:
+    """The word's letters as "c" (consonant) and "v" (vowel).
+
+    A "y" is a consonant at the start or after a vowel, and a vowel after
+    a consonant. A letter's class depends only on the letters before it,
+    so the pattern of a prefix is the prefix of the pattern.
     """
-
-    __slots__ = ("b", "k", "j")
-
-    def __init__(self, word: str):
-        self.b = word
-        self.k = len(word) - 1
-        self.j = 0
-
-    def cons(self, i: int) -> bool:
-        ch = self.b[i]
-        if ch in _VOWELS:
-            return False
-        if ch == "y":
-            return i == 0 or not self.cons(i - 1)
-        return True
-
-    def m(self) -> int:
-        # Number of vowel-consonant sequences in b[0..j].
-        n = 0
-        i = 0
-        while i <= self.j and self.cons(i):
-            i += 1
-        while True:
-            while True:
-                if i > self.j:
-                    return n
-                if self.cons(i):
-                    break
-                i += 1
-            n += 1
-            while i <= self.j and self.cons(i):
-                i += 1
-
-    def vowel_in_stem(self) -> bool:
-        return any(not self.cons(i) for i in range(self.j + 1))
-
-    def doublec(self, i: int) -> bool:
-        return i > 0 and self.b[i] == self.b[i - 1] and self.cons(i)
-
-    def cvc(self, i: int) -> bool:
-        # consonant-vowel-consonant ending at i, last consonant not w, x or y;
-        # used to decide whether to restore a final e (cav(e), lov(e)).
-        if i < 2 or not self.cons(i) or self.cons(i - 1) or not self.cons(i - 2):
-            return False
-        return self.b[i] not in "wxy"
-
-    def ends(self, suffix: str) -> bool:
-        length = len(suffix)
-        if suffix[-1] != self.b[self.k] or length > self.k + 1:
-            return False
-        if self.b[self.k - length + 1 : self.k + 1] != suffix:
-            return False
-        self.j = self.k - length
-        return True
-
-    def set_to(self, s: str) -> None:
-        self.b = self.b[: self.j + 1] + s
-        self.k = self.j + len(s)
-
-    def replace_if_measured(self, s: str) -> None:
-        if self.m() > 0:
-            self.set_to(s)
+    pattern = word.translate(_CONSONANT_OR_VOWEL)
+    i = pattern.find("y")
+    while i >= 0:
+        pattern = pattern[:i] + ("v" if i and pattern[i - 1] == "c" else "c") + pattern[i + 1 :]
+        i = pattern.find("y", i + 1)
+    return pattern
 
 
-def _step1ab(w: _Word) -> None:
+def _measure(stem: str) -> int:
+    # m in [C](VC)^m[V]: the number of vowel-consonant sequences.
+    return _pattern(stem).count("vc")
+
+
+def _ends_cvc(stem: str) -> bool:
+    # consonant-vowel-consonant at the end, last consonant not w, x or y;
+    # used to decide whether to restore a final e (cav(e), lov(e)).
+    return _pattern(stem).endswith("cvc") and stem[-1] not in "wxy"
+
+
+def _step1ab(w: str) -> str:
     # Plurals and -ed / -ing: caresses -> caress, ponies -> poni,
     # agreed -> agree, matting -> mat, mating -> mate.
-    if w.b[w.k] == "s":
-        if w.ends("sses"):
-            w.k -= 2
-        elif w.ends("ies"):
-            w.set_to("i")
-        elif w.b[w.k - 1] != "s":
-            w.k -= 1
-    if w.ends("eed"):
-        if w.m() > 0:
-            w.k -= 1
-    elif (w.ends("ed") or w.ends("ing")) and w.vowel_in_stem():
-        w.k = w.j
-        if w.ends("at"):
-            w.set_to("ate")
-        elif w.ends("bl"):
-            w.set_to("ble")
-        elif w.ends("iz"):
-            w.set_to("ize")
-        elif w.doublec(w.k):
-            if w.b[w.k - 1] not in "lsz":
-                w.k -= 1
-        elif w.m() == 1 and w.cvc(w.k):
-            w.set_to("e")
+    if w[-1] == "s":
+        if w.endswith("sses") or w.endswith("ies"):
+            w = w[:-2]
+        elif w[-2] != "s":
+            w = w[:-1]
+    if w.endswith("eed"):
+        if _measure(w[:-3]) > 0:
+            w = w[:-1]
+        return w
+    if w.endswith("ed"):
+        stem = w[:-2]
+    elif w.endswith("ing"):
+        stem = w[:-3]
+    else:
+        return w
+    pattern = _pattern(stem)
+    if "v" not in pattern:
+        return w
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if stem[-1] == stem[-2:-1] and pattern[-1] == "c":
+        return stem if stem[-1] in "lsz" else stem[:-1]
+    if pattern.count("vc") == 1 and _ends_cvc(stem):
+        return stem + "e"
+    return stem
 
 
-def _step1c(w: _Word) -> None:
+def _step1c(w: str) -> str:
     # Terminal y -> i when the stem contains another vowel.
-    if w.ends("y") and w.vowel_in_stem():
-        w.b = w.b[: w.k] + "i"
+    if w[-1] == "y" and "v" in _pattern(w[:-1]):
+        return w[:-1] + "i"
+    return w
 
 
-def _step2(w: _Word) -> None:
+def _step2(w: str) -> str:
     # Double suffixes to single ones: -ization -> -ize. The stem before
     # the suffix must have measure > 0.
-    for suffix, replacement in _STEP2_RULES.get(w.b[w.k - 1], ()):
-        if w.ends(suffix):
-            w.replace_if_measured(replacement)
-            return
+    for suffix, replacement in _STEP2_RULES.get(w[-2:-1], ()):
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            return stem + replacement if _measure(stem) > 0 else w
+    return w
 
 
-def _step3(w: _Word) -> None:
+def _step3(w: str) -> str:
     # -ic-, -full, -ness and friends, same strategy as step 2.
-    for suffix, replacement in _STEP3_RULES.get(w.b[w.k], ()):
-        if w.ends(suffix):
-            w.replace_if_measured(replacement)
-            return
+    for suffix, replacement in _STEP3_RULES.get(w[-1], ()):
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            return stem + replacement if _measure(stem) > 0 else w
+    return w
 
 
-def _step4(w: _Word) -> None:
+def _step4(w: str) -> str:
     # Strip -ant, -ence, etc. in context <c>vcvc<v>.
-    ch = w.b[w.k - 1]
+    ch = w[-2:-1]
     if ch == "o":
-        if not (
-            (w.ends("ion") and w.j >= 0 and w.b[w.j] in "st") or w.ends("ou")
-        ):
-            return
+        if w.endswith("ion") and w[-4:-3] in ("s", "t"):
+            stem = w[:-3]
+        elif w.endswith("ou"):
+            stem = w[:-2]
+        else:
+            return w
     else:
         for suffix in _STEP4_SUFFIXES.get(ch, ()):
-            if w.ends(suffix):
+            if w.endswith(suffix):
+                stem = w[: -len(suffix)]
                 break
         else:
-            return
-    if w.m() > 1:
-        w.k = w.j
+            return w
+    return stem if _measure(stem) > 1 else w
 
 
-def _step5(w: _Word) -> None:
-    # Final -e removal when measure > 1, and -ll -> -l.
-    w.j = w.k
-    if w.b[w.k] == "e":
-        a = w.m()
-        if a > 1 or (a == 1 and not w.cvc(w.k - 1)):
-            w.k -= 1
-    if w.b[w.k] == "l" and w.doublec(w.k) and w.m() > 1:
-        w.k -= 1
+def _step5(w: str) -> str:
+    # Final -e removal when measure > 1, and -ll -> -l. Dropping the
+    # vowel e leaves the measure as it was.
+    if w[-1] == "e":
+        m = _measure(w)
+        if m > 1 or m == 1 and not _ends_cvc(w[:-1]):
+            w = w[:-1]
+    if w.endswith("ll") and _measure(w) > 1:
+        w = w[:-1]
+    return w
 
 
 def stem(token: str) -> str:
@@ -215,11 +180,4 @@ def stem(token: str) -> str:
     word = token.lower()
     if len(word) <= 2 or not (word.isascii() and word.isalpha()):
         return word
-    w = _Word(word)
-    _step1ab(w)
-    _step1c(w)
-    _step2(w)
-    _step3(w)
-    _step4(w)
-    _step5(w)
-    return w.b[: w.k + 1]
+    return _step5(_step4(_step3(_step2(_step1c(_step1ab(word))))))

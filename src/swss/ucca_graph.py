@@ -135,12 +135,7 @@ class UccaGraph:
 
     def count_scenes(self) -> int:
         """Number of internal units whose main relation is a process or state."""
-        scenes = {
-            e.parent
-            for e in self.edges
-            if not e.remote and e.category in SCENE_CATEGORIES and e.parent in self.internal_nodes
-        }
-        return len(scenes)
+        return self._counts[0]
 
     def count_nodes(self) -> int:
         """Total node count: terminals + internal units + the root.
@@ -156,11 +151,26 @@ class UccaGraph:
         Remote edges are excluded by default; pass ``include_remote=True``
         to count secondary participant links as well.
         """
-        return sum(
-            1
-            for e in self.edges
-            if e.category in CRITICAL_CATEGORIES and (include_remote or not e.remote)
-        )
+        return self._counts[2 if include_remote else 1]
+
+    @cached_property
+    def _counts(self) -> tuple[int, int, int]:
+        """The scene count, and the critical-edge count without and with
+        remote edges, from one pass over the edges."""
+        # Every scene category is critical, so scenes are found among the
+        # critical primary edges.
+        internal = self.internal_nodes
+        scenes = set()
+        critical = remote_critical = 0
+        for parent, _, category, remote in self.edges:
+            if category in CRITICAL_CATEGORIES:
+                if remote:
+                    remote_critical += 1
+                else:
+                    critical += 1
+                    if category in SCENE_CATEGORIES and parent in internal:
+                        scenes.add(parent)
+        return len(scenes), critical, critical + remote_critical
 
 
 _BY_POSITION = attrgetter("position")
@@ -439,39 +449,56 @@ def parse_ucca_json(document: Union[bytes, str], lenient: bool = False) -> UccaG
     return graph_from_dict(obj, lenient=lenient)
 
 
+_DOCUMENT_KEYS = frozenset({"tokens", "nodes", "edges", "root"})
+_EDGE_KEYS = frozenset({"parent", "child", "category", "remote"})
+
+
 def graph_from_dict(obj: object, lenient: bool = False) -> UccaGraph:
-    """Build a graph from an already-decoded JSON mirror document."""
+    """Build a graph from an already-decoded JSON mirror document.
+
+    Fields are checked in document order; the first problem raises
+    :class:`GraphError`. Messages are worded only when a check fails.
+    """
     if not isinstance(obj, dict):
         raise GraphError("document root: expected a JSON object")
-    unknown = set(obj) - {"tokens", "nodes", "edges", "root"}
-    if unknown:
-        raise GraphError(f"unknown field {sorted(unknown)[0]!r}")
-    for key in ("tokens", "nodes", "edges", "root"):
-        if key not in obj:
-            raise GraphError(f"missing field {key!r}")
+    if obj.keys() != _DOCUMENT_KEYS:
+        unknown = set(obj) - _DOCUMENT_KEYS
+        if unknown:
+            raise GraphError(f"unknown field {sorted(unknown)[0]!r}")
+        missing = next(key for key in ("tokens", "nodes", "edges", "root") if key not in obj)
+        raise GraphError(f"missing field {missing!r}")
 
     tokens = obj["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if not isinstance(tokens, list):
         raise GraphError("tokens: expected a list of strings")
-    for i, text in enumerate(tokens):
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise GraphError(f"tokens[{i}]: lone surrogate in {text!r}") from None
-    terminals = [Terminal(id=f"t{i}", text=text, position=i) for i, text in enumerate(tokens, 1)]
+    try:
+        "".join(tokens).encode()
+    except TypeError:
+        raise GraphError("tokens: expected a list of strings") from None
+    except UnicodeEncodeError:
+        for i, text in enumerate(tokens):
+            try:
+                text.encode()
+            except UnicodeEncodeError:
+                raise GraphError(f"tokens[{i}]: lone surrogate in {text!r}") from None
+    n_tokens = len(tokens)
+    # terminal_ids[i] is the id of the word at position i; index 0 is unused.
+    terminal_ids = [f"t{i}" for i in range(n_tokens + 1)]
+    terminals = list(map(Terminal, terminal_ids[1:], tokens, range(1, n_tokens + 1)))
 
     nodes = obj["nodes"]
     if not isinstance(nodes, list):
         raise GraphError("nodes: expected a list")
     if not nodes:
         raise GraphError("no root: the node list is empty")
-    node_ids: list[str] = []
+    node_ids: set[str] = set()
     for i, entry in enumerate(nodes):
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) or not entry["id"]:
+        node_id = entry.get("id") if isinstance(entry, dict) else None
+        if not isinstance(node_id, str) or not node_id:
             raise GraphError(f"nodes[{i}]: expected an object with a non-empty string 'id'")
-        if entry["id"] in node_ids:
-            raise GraphError(f"duplicate node id {entry['id']!r}")
-        node_ids.append(entry["id"])
+        if node_id in node_ids:
+            raise GraphError(f"duplicate node id {node_id!r}")
+        node_ids.add(node_id)
 
     root = obj["root"]
     if not isinstance(root, str):
@@ -484,38 +511,34 @@ def graph_from_dict(obj: object, lenient: bool = False) -> UccaGraph:
         raise GraphError("edges: expected a list")
     edges: list[Edge] = []
     for i, entry in enumerate(raw_edges):
-        where = f"edges[{i}]"
         if not isinstance(entry, dict):
-            raise GraphError(f"{where}: expected an object")
-        unknown = set(entry) - {"parent", "child", "category", "remote"}
-        if unknown:
-            raise GraphError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+            raise GraphError(f"edges[{i}]: expected an object")
+        if not entry.keys() <= _EDGE_KEYS:
+            raise GraphError(f"edges[{i}]: unknown field {sorted(set(entry) - _EDGE_KEYS)[0]!r}")
         parent = entry.get("parent")
         if not isinstance(parent, str):
-            raise GraphError(f"{where}.parent: expected a string node id")
+            raise GraphError(f"edges[{i}].parent: expected a string node id")
         child = entry.get("child")
         if isinstance(child, dict):
             pos = child.get("terminal")
-            if set(child) != {"terminal"} or not isinstance(pos, int) or isinstance(pos, bool):
-                raise GraphError(f"{where}.child: expected {{'terminal': <position>}}")
-            if not 1 <= pos <= len(terminals):
-                raise GraphError(f"{where}.child: terminal position {pos} out of range")
-            child_id = f"t{pos}"
-        elif isinstance(child, str):
-            child_id = child
-        else:
-            raise GraphError(f"{where}.child: expected a node id or {{'terminal': <position>}}")
+            if len(child) != 1 or not isinstance(pos, int) or isinstance(pos, bool):
+                raise GraphError(f"edges[{i}].child: expected {{'terminal': <position>}}")
+            if not 1 <= pos <= n_tokens:
+                raise GraphError(f"edges[{i}].child: terminal position {pos} out of range")
+            child = terminal_ids[pos]
+        elif not isinstance(child, str):
+            raise GraphError(f"edges[{i}].child: expected a node id or {{'terminal': <position>}}")
         code = entry.get("category")
         if not isinstance(code, str):
-            raise GraphError(f"{where}.category: expected a string")
-        category = _category(code, parent, child_id)
+            raise GraphError(f"edges[{i}].category: expected a string")
+        category = _CATEGORY_BY_CODE.get(code) or _category(code, parent, child)
         remote = entry.get("remote", False)
         if not isinstance(remote, bool):
-            raise GraphError(f"{where}.remote: expected a boolean")
-        edges.append(Edge(parent, child_id, category, remote=remote))
+            raise GraphError(f"edges[{i}].remote: expected a boolean")
+        edges.append(Edge(parent, child, category, remote))
 
-    internal = set(node_ids) - {root}
-    return build_graph(root, terminals, internal, edges, lenient=lenient)
+    node_ids.discard(root)
+    return build_graph(root, terminals, node_ids, edges, lenient=lenient)
 
 
 def emit_json(graph: UccaGraph) -> dict:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from swss.core_words import CoreWord, CoreWordBag
 from swss.ucca_graph import Category, Edge, Terminal, build_graph, parse_ucca_json, parse_ucca_xml
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -44,6 +45,12 @@ def make_graph(tokens, edges, lenient=False):
     from swss.ucca_graph import graph_from_dict
 
     return graph_from_dict(document, lenient=lenient)
+
+
+def bag_of_stems(stems, label=Category.CENTER):
+    """A core-word bag straight from stem strings, each word its own
+    surface form, in the given order, all with one label."""
+    return CoreWordBag(tuple(CoreWord(s, s, i, label) for i, s in enumerate(stems, start=1)))
 
 
 @pytest.fixture(scope="session")

@@ -5,11 +5,12 @@ are exhaustive subset searches, the BLEU oracle uses explicit n-gram lists
 and the product form of the geometric mean, the correlation oracle uses
 the raw-moment formula, and the isomorphism check compares canonical
 forms of the primary tree. The graph-validation, XML-parsing,
-grid-search, scoring and preparation oracles are the exception: they are
-the slower paths the library replaced (a reachability walk plus a
-three-colour DFS, the XML parser built on it, exhaustive grid loop,
-scoring straight from graphs, loading both graphs of every record), which
-the fast paths must agree with bit for bit.
+JSON-reading, stemming, grid-search, scoring and preparation oracles are
+the exception: they are the slower paths the library replaced (a
+reachability walk plus a three-colour DFS, the XML parser built on it,
+the document reader that checks every field in order, the buffer-based
+stemmer, exhaustive grid loop, scoring straight from graphs, loading both
+graphs of every record), which the fast paths must agree with bit for bit.
 """
 
 import itertools
@@ -17,6 +18,8 @@ import math
 from collections import defaultdict
 from dataclasses import replace
 from functools import lru_cache
+
+from swss.porter import _STEP2_RULES, _STEP3_RULES, _STEP4_SUFFIXES
 
 
 def max_weight_matching_bruteforce(candidate, reference):
@@ -172,21 +175,41 @@ def swss_from_graphs(candidate_graph, reference_graph, params):
     """The pair score computed straight from the two graphs, as
     ``swss.scoring.swss`` did before it scored from per-graph features:
     core words and counts are read from each graph at scoring time, and
-    only the edge count that ``params`` asks for is taken."""
-    from swss.core_words import extract_core_words
+    only the edge count that ``params`` asks for is taken. Core words come
+    from ``lowest_label`` and ``porter_stem_reference``, and the counts
+    from loops of their own."""
+    from swss.core_words import CORE_CATEGORIES, CoreWord, CoreWordBag
     from swss.scoring import GraphStats, ScoreBreakdown, f1_score, penalized_score, ratio_penalty
+    from swss.ucca_graph import CRITICAL_CATEGORIES, SCENE_CATEGORIES
 
-    candidate_bag = extract_core_words(candidate_graph)
-    reference_bag = extract_core_words(reference_graph)
+    def core_words(graph):
+        words = []
+        for t in graph.terminals:
+            label = graph.lowest_label(t.id)
+            if label in CORE_CATEGORIES:
+                words.append(
+                    CoreWord(surface=t.text, stem=porter_stem_reference(t.text), position=t.position, label=label)
+                )
+        return CoreWordBag(tuple(words))
+
+    candidate_bag = core_words(candidate_graph)
+    reference_bag = core_words(reference_graph)
     precision, recall, f1, fallback_used = f1_score(candidate_bag, reference_bag, params)
 
     def stats(graph, bag):
+        scenes = set()
+        critical_edges = 0
+        for e in graph.edges:
+            if not e.remote and e.category in SCENE_CATEGORIES and e.parent in graph.internal_nodes:
+                scenes.add(e.parent)
+            if e.category in CRITICAL_CATEGORIES and (params.include_remote_critical_edges or not e.remote):
+                critical_edges += 1
         return GraphStats(
             tokens=len(graph.terminals),
-            scenes=graph.count_scenes(),
-            nodes=graph.count_nodes(),
+            scenes=len(scenes),
+            nodes=len(graph.terminals) + len(graph.internal_nodes) + 1,
             internal_nodes=len(graph.internal_nodes),
-            critical_edges=graph.count_critical_edges(include_remote=params.include_remote_critical_edges),
+            critical_edges=critical_edges,
             core_words=bag.total,
         )
 
@@ -507,3 +530,266 @@ def parse_ucca_xml_reference(document, lenient=False):
 
     internal = set(unit_edges) - collapsed - {root_id}
     return build_graph_reference(root_id, terminals, internal, edges, lenient=lenient)
+
+
+def graph_from_dict_reference(obj, lenient=False):
+    """``swss.ucca_graph.graph_from_dict`` as it was before it checked
+    plain documents first and worded errors only on failure: every check
+    in document order, duplicate node ids looked up in a list, and
+    validation by ``build_graph_reference``. Same arguments, result and
+    errors, except the text of a cycle error."""
+    from swss.errors import GraphError
+    from swss.ucca_graph import Category, Edge, Terminal
+
+    def _category(code, parent, child):
+        try:
+            return Category(code)
+        except ValueError:
+            raise GraphError(f"unknown category code {code!r} on edge {parent!r} -> {child!r}") from None
+
+    if not isinstance(obj, dict):
+        raise GraphError("document root: expected a JSON object")
+    unknown = set(obj) - {"tokens", "nodes", "edges", "root"}
+    if unknown:
+        raise GraphError(f"unknown field {sorted(unknown)[0]!r}")
+    for key in ("tokens", "nodes", "edges", "root"):
+        if key not in obj:
+            raise GraphError(f"missing field {key!r}")
+
+    tokens = obj["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise GraphError("tokens: expected a list of strings")
+    for i, text in enumerate(tokens):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise GraphError(f"tokens[{i}]: lone surrogate in {text!r}") from None
+    terminals = [Terminal(id=f"t{i}", text=text, position=i) for i, text in enumerate(tokens, 1)]
+
+    nodes = obj["nodes"]
+    if not isinstance(nodes, list):
+        raise GraphError("nodes: expected a list")
+    if not nodes:
+        raise GraphError("no root: the node list is empty")
+    node_ids = []
+    for i, entry in enumerate(nodes):
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) or not entry["id"]:
+            raise GraphError(f"nodes[{i}]: expected an object with a non-empty string 'id'")
+        if entry["id"] in node_ids:
+            raise GraphError(f"duplicate node id {entry['id']!r}")
+        node_ids.append(entry["id"])
+
+    root = obj["root"]
+    if not isinstance(root, str):
+        raise GraphError("root: expected a string node id")
+    if root not in node_ids:
+        raise GraphError(f"root {root!r} is not in the node list")
+
+    raw_edges = obj["edges"]
+    if not isinstance(raw_edges, list):
+        raise GraphError("edges: expected a list")
+    edges = []
+    for i, entry in enumerate(raw_edges):
+        where = f"edges[{i}]"
+        if not isinstance(entry, dict):
+            raise GraphError(f"{where}: expected an object")
+        unknown = set(entry) - {"parent", "child", "category", "remote"}
+        if unknown:
+            raise GraphError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+        parent = entry.get("parent")
+        if not isinstance(parent, str):
+            raise GraphError(f"{where}.parent: expected a string node id")
+        child = entry.get("child")
+        if isinstance(child, dict):
+            pos = child.get("terminal")
+            if set(child) != {"terminal"} or not isinstance(pos, int) or isinstance(pos, bool):
+                raise GraphError(f"{where}.child: expected {{'terminal': <position>}}")
+            if not 1 <= pos <= len(terminals):
+                raise GraphError(f"{where}.child: terminal position {pos} out of range")
+            child_id = f"t{pos}"
+        elif isinstance(child, str):
+            child_id = child
+        else:
+            raise GraphError(f"{where}.child: expected a node id or {{'terminal': <position>}}")
+        code = entry.get("category")
+        if not isinstance(code, str):
+            raise GraphError(f"{where}.category: expected a string")
+        category = _category(code, parent, child_id)
+        remote = entry.get("remote", False)
+        if not isinstance(remote, bool):
+            raise GraphError(f"{where}.remote: expected a boolean")
+        edges.append(Edge(parent, child_id, category, remote=remote))
+
+    internal = set(node_ids) - {root}
+    return build_graph_reference(root, terminals, internal, edges, lenient=lenient)
+
+
+def porter_stem_reference(token):
+    """``swss.porter.stem`` as it was before it worked on plain strings:
+    a mutable buffer with an end index, and the measure counted letter by
+    letter. It shares the rule tables, which the vocabulary conformance
+    test checks on their own."""
+    if not token:
+        raise ValueError("cannot stem an empty token")
+    word = token.lower()
+    if len(word) <= 2 or not (word.isascii() and word.isalpha()):
+        return word
+    w = _PorterWord(word)
+    _porter_step1ab(w)
+    _porter_step1c(w)
+    _porter_step2(w)
+    _porter_step3(w)
+    _porter_step4(w)
+    _porter_step5(w)
+    return w.b[: w.k + 1]
+
+
+class _PorterWord:
+    """Mutable stemming buffer.
+
+    ``b`` holds the letters, ``k`` is the index of the last live letter,
+    and ``j`` is the offset set by the most recent suffix test. The
+    measure and shape helpers all follow the reference definitions.
+    """
+
+    __slots__ = ("b", "k", "j")
+
+    def __init__(self, word: str):
+        self.b = word
+        self.k = len(word) - 1
+        self.j = 0
+
+    def cons(self, i: int) -> bool:
+        ch = self.b[i]
+        if ch in "aeiou":
+            return False
+        if ch == "y":
+            return i == 0 or not self.cons(i - 1)
+        return True
+
+    def m(self) -> int:
+        # Number of vowel-consonant sequences in b[0..j].
+        n = 0
+        i = 0
+        while i <= self.j and self.cons(i):
+            i += 1
+        while True:
+            while True:
+                if i > self.j:
+                    return n
+                if self.cons(i):
+                    break
+                i += 1
+            n += 1
+            while i <= self.j and self.cons(i):
+                i += 1
+
+    def vowel_in_stem(self) -> bool:
+        return any(not self.cons(i) for i in range(self.j + 1))
+
+    def doublec(self, i: int) -> bool:
+        return i > 0 and self.b[i] == self.b[i - 1] and self.cons(i)
+
+    def cvc(self, i: int) -> bool:
+        # consonant-vowel-consonant ending at i, last consonant not w, x or y;
+        # used to decide whether to restore a final e (cav(e), lov(e)).
+        if i < 2 or not self.cons(i) or self.cons(i - 1) or not self.cons(i - 2):
+            return False
+        return self.b[i] not in "wxy"
+
+    def ends(self, suffix: str) -> bool:
+        length = len(suffix)
+        if suffix[-1] != self.b[self.k] or length > self.k + 1:
+            return False
+        if self.b[self.k - length + 1 : self.k + 1] != suffix:
+            return False
+        self.j = self.k - length
+        return True
+
+    def set_to(self, s: str) -> None:
+        self.b = self.b[: self.j + 1] + s
+        self.k = self.j + len(s)
+
+    def replace_if_measured(self, s: str) -> None:
+        if self.m() > 0:
+            self.set_to(s)
+
+
+def _porter_step1ab(w: _PorterWord) -> None:
+    # Plurals and -ed / -ing: caresses -> caress, ponies -> poni,
+    # agreed -> agree, matting -> mat, mating -> mate.
+    if w.b[w.k] == "s":
+        if w.ends("sses"):
+            w.k -= 2
+        elif w.ends("ies"):
+            w.set_to("i")
+        elif w.b[w.k - 1] != "s":
+            w.k -= 1
+    if w.ends("eed"):
+        if w.m() > 0:
+            w.k -= 1
+    elif (w.ends("ed") or w.ends("ing")) and w.vowel_in_stem():
+        w.k = w.j
+        if w.ends("at"):
+            w.set_to("ate")
+        elif w.ends("bl"):
+            w.set_to("ble")
+        elif w.ends("iz"):
+            w.set_to("ize")
+        elif w.doublec(w.k):
+            if w.b[w.k - 1] not in "lsz":
+                w.k -= 1
+        elif w.m() == 1 and w.cvc(w.k):
+            w.set_to("e")
+
+
+def _porter_step1c(w: _PorterWord) -> None:
+    # Terminal y -> i when the stem contains another vowel.
+    if w.ends("y") and w.vowel_in_stem():
+        w.b = w.b[: w.k] + "i"
+
+
+def _porter_step2(w: _PorterWord) -> None:
+    # Double suffixes to single ones: -ization -> -ize. The stem before
+    # the suffix must have measure > 0.
+    for suffix, replacement in _STEP2_RULES.get(w.b[w.k - 1], ()):
+        if w.ends(suffix):
+            w.replace_if_measured(replacement)
+            return
+
+
+def _porter_step3(w: _PorterWord) -> None:
+    # -ic-, -full, -ness and friends, same strategy as step 2.
+    for suffix, replacement in _STEP3_RULES.get(w.b[w.k], ()):
+        if w.ends(suffix):
+            w.replace_if_measured(replacement)
+            return
+
+
+def _porter_step4(w: _PorterWord) -> None:
+    # Strip -ant, -ence, etc. in context <c>vcvc<v>.
+    ch = w.b[w.k - 1]
+    if ch == "o":
+        if not (
+            (w.ends("ion") and w.j >= 0 and w.b[w.j] in "st") or w.ends("ou")
+        ):
+            return
+    else:
+        for suffix in _STEP4_SUFFIXES.get(ch, ()):
+            if w.ends(suffix):
+                break
+        else:
+            return
+    if w.m() > 1:
+        w.k = w.j
+
+
+def _porter_step5(w: _PorterWord) -> None:
+    # Final -e removal when measure > 1, and -ll -> -l.
+    w.j = w.k
+    if w.b[w.k] == "e":
+        a = w.m()
+        if a > 1 or (a == 1 and not w.cvc(w.k - 1)):
+            w.k -= 1
+    if w.b[w.k] == "l" and w.doublec(w.k) and w.m() > 1:
+        w.k -= 1

@@ -12,9 +12,10 @@ import random
 import time
 from pathlib import Path
 
+from conftest import bag_of_stems
 from oracles import max_matching_bruteforce, reference_bleu
 from swss.cli import main
-from swss.core_words import CoreWordBag, clipped_match, extract_core_words
+from swss.core_words import clipped_match, extract_core_words
 from swss.harness import TuneGrid, evaluate, grid_search, load_dataset, pearson
 from swss.lexical import sentence_bleu
 from swss.porter import stem
@@ -68,7 +69,7 @@ def test_criterion_2_matching_oracle():
             cand = [rng.choice(stems) for _ in range(rng.randint(0, 8))]
             ref = [rng.choice(stems) for _ in range(rng.randint(0, 8))]
             expected = max_matching_bruteforce(cand, ref)
-            cand_bag, ref_bag = CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref)
+            cand_bag, ref_bag = bag_of_stems(cand), bag_of_stems(ref)
             matched_cand, _ = clipped_match(cand_bag, ref_bag, unit)
             matched_ref, _ = clipped_match(ref_bag, cand_bag, unit)
             if matched_cand != expected or matched_ref != expected:

@@ -4,9 +4,9 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import bag_of_stems, make_graph
 from oracles import max_matching_bruteforce
-from swss.core_words import CORE_CATEGORIES, CoreWordBag, clipped_match, extract_core_words, porter_stem
+from swss.core_words import CORE_CATEGORIES, clipped_match, extract_core_words, porter_stem
 from swss.scoring import SwssParams
 from swss.synthetic import random_graph
 
@@ -17,7 +17,7 @@ unit = SwssParams().weight
 
 
 def match(cand, ref):
-    return clipped_match(CoreWordBag.from_stems(cand), CoreWordBag.from_stems(ref), unit)
+    return clipped_match(bag_of_stems(cand), bag_of_stems(ref), unit)
 
 
 class TestExtraction:
@@ -58,12 +58,12 @@ class TestExtraction:
 
 class TestBag:
     def test_counts_add_up(self):
-        bag = CoreWordBag.from_stems(["run", "run", "dog"])
+        bag = bag_of_stems(["run", "run", "dog"])
         assert bag.total == 3
         assert bag.stem_counts == Counter({"run": 2, "dog": 1})
 
     def test_empty_is_legal(self):
-        bag = CoreWordBag.from_stems([])
+        bag = bag_of_stems([])
         assert bag.total == 0
         assert not bag.stem_counts
 

@@ -1,9 +1,10 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import porter_stem_reference
 from swss.porter import stem
 
 PORTER_DIR = Path(__file__).parent / "data" / "porter"
@@ -95,3 +96,18 @@ def test_alpha_words_stem_to_nonempty_lowercase_alpha(word):
 def test_stemming_is_deterministic_and_case_insensitive(word):
     assert stem(word) == stem(word)
     assert stem(word) == stem(word.upper()) == stem(word.lower())
+
+
+# Letters weighted toward what the rules test: y (a vowel or a consonant
+# by its left neighbour), vowels, and the suffix letters s, e and l.
+_RULE_LETTERS = "aeiouyyyyssseeellbcdfgmnrtvwxz"
+
+
+@settings(max_examples=2000)
+@given(
+    st.text(alphabet=_RULE_LETTERS, min_size=1, max_size=14)
+    | st.text(alphabet=_RULE_LETTERS + "AEIOUYSEL0123456789éİ'-", min_size=1, max_size=10)
+    | st.text(min_size=1, max_size=6)
+)
+def test_agrees_with_reference_stemmer(word):
+    assert stem(word) == porter_stem_reference(word)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import bag_of_stems, make_graph
 from oracles import max_matching_bruteforce, max_weight_matching_bruteforce, swss_from_graphs
 from swss.core_words import CORE_CATEGORIES, CoreWord, CoreWordBag
 from swss.scoring import GraphStats, ScoreBreakdown, SwssParams, combine, f1_score, ratio_penalty, swss
@@ -98,12 +98,12 @@ class TestRatioPenalty:
 
 class TestF1:
     def test_identical_bags(self):
-        bag = CoreWordBag.from_stems(["buy", "sofa"])
+        bag = bag_of_stems(["buy", "sofa"])
         assert f1_score(bag, bag, SwssParams()) == (1.0, 1.0, 1.0, False)
 
     def test_clipping_arithmetic(self):
-        cand = CoreWordBag.from_stems(["a", "a", "b"])
-        ref = CoreWordBag.from_stems(["a", "c"])
+        cand = bag_of_stems(["a", "a", "b"])
+        ref = bag_of_stems(["a", "c"])
         precision, recall, f1, fallback = f1_score(cand, ref, SwssParams())
         assert precision == pytest.approx(1 / 3)
         assert recall == pytest.approx(1 / 2)
@@ -111,20 +111,20 @@ class TestF1:
         assert not fallback
 
     def test_empty_candidate_uses_omega(self):
-        empty = CoreWordBag.from_stems([])
-        full = CoreWordBag.from_stems(["a"])
+        empty = bag_of_stems([])
+        full = bag_of_stems(["a"])
         precision, recall, f1, fallback = f1_score(empty, full, SwssParams(omega=0.5))
         assert (precision, recall) == (0.0, 0.0)
         assert f1 == 0.5
         assert fallback
 
     def test_both_empty_uses_omega(self):
-        empty = CoreWordBag.from_stems([])
+        empty = bag_of_stems([])
         assert f1_score(empty, empty, SwssParams(omega=0.25))[2] == 0.25
 
     def test_zero_overlap_is_zero_not_omega(self):
-        cand = CoreWordBag.from_stems(["a"])
-        ref = CoreWordBag.from_stems(["b"])
+        cand = bag_of_stems(["a"])
+        ref = bag_of_stems(["b"])
         precision, recall, f1, fallback = f1_score(cand, ref, SwssParams(omega=0.5))
         assert f1 == 0.0
         assert not fallback
@@ -134,8 +134,8 @@ class TestF1:
         st.lists(st.sampled_from("abcd"), max_size=8).filter(bool),
     )
     def test_unit_weights_agree_with_match_counts(self, cand_stems, ref_stems):
-        cand = CoreWordBag.from_stems(cand_stems)
-        ref = CoreWordBag.from_stems(ref_stems)
+        cand = bag_of_stems(cand_stems)
+        ref = bag_of_stems(ref_stems)
         matched = max_matching_bruteforce(cand_stems, ref_stems)
         precision, recall, _, fallback = f1_score(cand, ref, SwssParams())
         assert not fallback
@@ -146,11 +146,11 @@ class TestF1:
         # Candidate: matched P word (weight 2) + unmatched C word (weight 1).
         cand = CoreWordBag(
             (
-                dataclasses.replace(CoreWordBag.from_stems(["buy"]).words[0], label=Category.PROCESS),
-                dataclasses.replace(CoreWordBag.from_stems(["x"]).words[0], label=Category.CENTER, position=2),
+                bag_of_stems(["buy"]).words[0]._replace(label=Category.PROCESS),
+                bag_of_stems(["x"]).words[0]._replace(label=Category.CENTER, position=2),
             )
         )
-        ref = CoreWordBag.from_stems(["buy"], label=Category.PROCESS)
+        ref = bag_of_stems(["buy"], label=Category.PROCESS)
         params = SwssParams(category_weights={Category.PROCESS: 2.0})
         precision, recall, f1, _ = f1_score(cand, ref, params)
         assert precision == pytest.approx(2 / 3)
@@ -161,7 +161,7 @@ class TestF1:
         # Whichever position it holds, the P "buy" (weight 2) takes the one
         # reference "buy", so precision is 2/3 in both word orders.
         cand = CoreWordBag(tuple(CoreWord("buy", "buy", i, label) for i, label in enumerate(labels, start=1)))
-        ref = CoreWordBag.from_stems(["buy"], label=Category.PROCESS)
+        ref = bag_of_stems(["buy"], label=Category.PROCESS)
         params = SwssParams(category_weights={Category.PROCESS: 2.0})
         precision, recall, _, _ = f1_score(cand, ref, params)
         assert precision == 2 / 3

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import time
 import xml.etree.ElementTree as ElementTree
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_graph
-from oracles import build_graph_reference, isomorphic, parse_ucca_xml_reference
+from oracles import build_graph_reference, graph_from_dict_reference, isomorphic, parse_ucca_xml_reference
 from swss.cli import main
+from swss.core_words import CoreWord
 from swss.errors import GraphError
 from swss.harness import evaluate, load_dataset
 from swss.scoring import SwssParams
@@ -23,6 +25,7 @@ from swss.ucca_graph import (
     Terminal,
     build_graph,
     emit_json,
+    graph_from_dict,
     load_graph,
     parse_ucca_json,
     parse_ucca_xml,
@@ -337,6 +340,7 @@ class TestValueTypes:
         cases = [
             (lambda: Edge("u", "t1", Category.CENTER), "parent"),
             (lambda: Terminal("t1", "Hi", 1), "text"),
+            (lambda: CoreWord("Hi", "hi", 1, Category.CENTER), "stem"),
         ]
         for make, field in cases:
             value, twin = make(), make()
@@ -348,6 +352,7 @@ class TestValueTypes:
         # that is accepted, as no code compares a graph value with a tuple.
         assert Edge("u", "t1", Category.CENTER) == ("u", "t1", Category.CENTER, False)
         assert Terminal("t1", "Hi", 1) == ("t1", "Hi", 1)
+        assert CoreWord("Hi", "hi", 1, Category.CENTER) == ("Hi", "hi", 1, Category.CENTER)
 
 
 class TestJsonParsing:
@@ -376,6 +381,35 @@ class TestJsonParsing:
         }
         with pytest.raises(GraphError, match="duplicate node id 'u'"):
             parse_ucca_json(json.dumps(document))
+
+    def test_large_document_loads_in_linear_time(self):
+        # Chains of units over one word. Ten times the units takes about ten
+        # times as long; looking each id up in a list of the ids before it
+        # made it about a hundred times (0.3 s and 27 s).
+        def chain(n):
+            return {
+                "tokens": ["Hi"],
+                "nodes": [{"id": f"u{i}"} for i in range(n)],
+                "root": "u0",
+                "edges": [{"parent": f"u{i}", "child": f"u{i + 1}", "category": "C"} for i in range(n - 1)]
+                + [{"parent": f"u{n - 1}", "child": {"terminal": 1}, "category": "C"}],
+            }
+
+        def load_seconds(document):
+            text = json.dumps(document)
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                graph = parse_ucca_json(text)
+                best = min(best, time.perf_counter() - start)
+            assert len(graph.internal_nodes) == len(document["nodes"]) - 1
+            return best
+
+        large = chain(50_000)
+        assert load_seconds(large) < 30 * load_seconds(chain(5_000))
+        large["nodes"].append({"id": "u7"})
+        with pytest.raises(GraphError, match="duplicate node id 'u7'"):
+            parse_ucca_json(json.dumps(large))
 
     def test_unknown_field_path(self):
         document = {"tokens": [], "nodes": [], "edges": [], "root": "r", "extra": 1}
@@ -704,11 +738,9 @@ _json_values = st.recursive(
 )
 
 
-@st.composite
-def json_attribute_mutants(draw):
-    """The JSON fixture with one value anywhere in the document replaced
-    or its key removed."""
-    document = json.loads(FIXTURE_BYTES["json"])
+def mutate_json(draw, document):
+    """Replace one value anywhere in a decoded JSON document, or remove
+    its key."""
     slots = []
 
     def collect(node):
@@ -723,7 +755,42 @@ def json_attribute_mutants(draw):
         del node[key]
     else:
         node[key] = draw(_json_values)
+
+
+@st.composite
+def json_attribute_mutants(draw):
+    """The JSON fixture with one value anywhere in the document replaced
+    or its key removed."""
+    document = json.loads(FIXTURE_BYTES["json"])
+    mutate_json(draw, document)
     return json.dumps(document).encode("utf-8", "surrogatepass")
+
+
+class TestJsonReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rng=st.randoms(use_true_random=False))
+    def test_agrees_with_reference_reader(self, data, rng):
+        """The same graph as the replaced reader, or the same error, on
+        random graphs written as JSON documents, half of them with one key
+        removed or one value replaced."""
+        graph = random_graph(rng, remote_prob=0.5)
+        document = emit_json(graph)
+        mutated = data.draw(st.booleans())
+        if mutated:
+            mutate_json(data.draw, document)
+        lenient = data.draw(st.booleans())
+        try:
+            expected = graph_from_dict_reference(document, lenient)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as info:
+                graph_from_dict(document, lenient)
+            if str(info.value) != str(exc):
+                # The one message the topological peel words differently.
+                assert "cycl" in str(exc) and "lies on a cycle" in str(info.value)
+        else:
+            assert graph_from_dict(document, lenient) == expected
+            if not mutated:
+                assert expected == graph
 
 
 @pytest.fixture(scope="module")
