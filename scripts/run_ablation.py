@@ -12,7 +12,7 @@ and prints a per-language-pair comparison table:
 import json
 import sys
 
-from swss.cli import _load_params, _Parser, _resolve_base
+from swss.cli import _load_params, _naming_dataset, _Parser, _resolve_base
 from swss.errors import SwssError
 from swss.harness import ABLATIONS, evaluate, load_dataset
 
@@ -38,10 +38,11 @@ def run(args) -> None:
     base = _resolve_base(args.base)
 
     records = load_dataset(args.manifest)
-    reports = {
-        ablation: evaluate(records, params, base=base, ablation=ablation, strict=args.strict)
-        for ablation in ABLATIONS
-    }
+    with _naming_dataset(args):
+        reports = {
+            ablation: evaluate(records, params, base=base, ablation=ablation, strict=args.strict)
+            for ablation in ABLATIONS
+        }
 
     pairs = sorted(reports["full"].per_pair)
     header = f"{'lang pair':<12}" + "".join(f"{a:>12}" for a in ABLATIONS)

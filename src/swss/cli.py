@@ -7,12 +7,13 @@ codes are 0 on success, 1 for input errors, 2 for internal errors.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
 import traceback
 
-from .errors import SwssError
+from .errors import DatasetError, SwssError
 from .harness import ABLATIONS, TuneGrid, evaluate, grid_search, load_dataset
 from .lexical import load_external_scores
 from .scoring import GraphFeatures, SwssParams, swss
@@ -91,11 +92,24 @@ def _report_table(report) -> str:
     return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def _naming_dataset(args):
+    # What evaluating the records finds wrong (a language pair with one
+    # record, a base table without a row) comes from the manifest or the
+    # base table, so the error names both.
+    try:
+        yield
+    except DatasetError as exc:
+        base = "" if args.base == "bleu" else f" (base {args.base})"
+        raise DatasetError(f"{args.manifest}{base}: {exc}") from None
+
+
 def cmd_evaluate(args) -> int:
     params = _load_params(args.params)
     base = _resolve_base(args.base)
     records = load_dataset(args.manifest)
-    report = evaluate(records, params, base=base, ablation=args.ablation, strict=args.strict)
+    with _naming_dataset(args):
+        report = evaluate(records, params, base=base, ablation=args.ablation, strict=args.strict)
     print(_report_table(report))
     if report.skipped:
         print(f"({report.skipped} segment(s) skipped)", file=sys.stderr)
@@ -108,7 +122,8 @@ def cmd_tune(args) -> int:
     base = _resolve_base(args.base)
     records = load_dataset(args.manifest)
     logger.info("tuning on %d records over %d grid points", len(records), grid.size)
-    best, objective = grid_search(records, grid, base=base, strict=args.strict)
+    with _naming_dataset(args):
+        best, objective = grid_search(records, grid, base=base, strict=args.strict)
     payload = {"params": best.to_dict(), "objective": objective, "grid_size": grid.size}
     print(json.dumps(payload, indent=2, sort_keys=True))
     _write_out(payload, args.out)

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import DatasetError, GraphError
 from .lexical import ExternalScoreTable, sentence_bleu
@@ -147,7 +147,7 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
         )
         for path in (record.candidate_ucca, record.reference_ucca):
             if not path.is_file():
-                raise DatasetError(f"record {record.label}: missing UCCA file {path}")
+                raise DatasetError(f"{manifest}:{lineno}: record {record.label}: missing UCCA file {path}")
         records.append(record)
     if not records:
         logger.warning("manifest %s contains no records", manifest)
@@ -209,19 +209,19 @@ def apply_ablation(params: SwssParams, ablation: str) -> SwssParams:
     raise ValueError(f"unknown ablation {ablation!r}; expected one of {', '.join(ABLATIONS)}")
 
 
-@dataclass(frozen=True)
-class _PreparedSegment:
-    # Everything about a segment that does not depend on the six scalar
-    # parameters, so tuning can sweep them without re-parsing graphs.
-    lang_pair: str
-    base_score: float
-    human_score: float
-    f1: float
-    fallback_used: bool
-    p_scene: float
-    p_node: float
-    p_edge: float
-    len_penalty: float
+class _Columns(NamedTuple):
+    # One language pair's segments, one list per quantity that does not
+    # depend on the six scalar parameters, so tuning can sweep them
+    # without re-parsing graphs. f1 is 0 on fallback segments, where
+    # omega stands in for it.
+    base: list
+    human: list
+    f1: list
+    fallback: list
+    p_scene: list
+    p_node: list
+    p_edge: list
+    len_penalty: list
 
 
 def _base_name(base: Union[str, ExternalScoreTable]) -> str:
@@ -265,11 +265,13 @@ def _prepare_segments(
     params: SwssParams,
     base: Union[str, ExternalScoreTable],
     strict: bool,
-) -> tuple[list[_PreparedSegment], int]:
+) -> tuple[dict[str, _Columns], int]:
+    """The columns of each language pair, the pairs in sorted order, and
+    the number of records skipped."""
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
     features = _FeatureCache(records, lenient=not strict)
-    prepared: list[_PreparedSegment] = []
+    rows: dict[str, list[tuple]] = {}
     skipped = 0
     for record in records:
         candidate = features.take(record.candidate_ucca)
@@ -287,69 +289,48 @@ def _prepare_segments(
             base_score = base.score(record.system, record.segment_id)
         else:
             base_score = sentence_bleu(candidate.tokens, reference.tokens)
-        breakdown = score_from_features(candidate, reference, params)
-        prepared.append(
-            _PreparedSegment(
-                lang_pair=record.lang_pair,
-                base_score=base_score,
-                human_score=record.human_score,
-                f1=breakdown.f1,
-                fallback_used=breakdown.fallback_used,
-                p_scene=breakdown.p_scene,
-                p_node=breakdown.p_node,
-                p_edge=breakdown.p_edge,
-                len_penalty=breakdown.len_penalty,
+        scored = score_from_features(candidate, reference, params)
+        rows.setdefault(record.lang_pair, []).append(
+            (
+                base_score, record.human_score, 0.0 if scored.fallback_used else scored.f1, scored.fallback_used,
+                scored.p_scene, scored.p_node, scored.p_edge, scored.len_penalty,
             )
         )
     if skipped:
         logger.warning("skipped %d record(s) with invalid UCCA parses", skipped)
-    if not prepared:
+    if not rows:
         raise DatasetError("no segments could be evaluated")
-    return prepared, skipped
+    return {lang_pair: _Columns(*map(list, zip(*rows[lang_pair]))) for lang_pair in sorted(rows)}, skipped
 
 
-def _segment_score(segment: _PreparedSegment, params: SwssParams) -> float:
-    # A fallback segment's F1 is omega itself, so one prepared list serves
-    # every omega of a grid search.
-    structural = penalized_score(
-        params.omega if segment.fallback_used else segment.f1,
-        segment.fallback_used,
-        segment.p_scene,
-        segment.p_node,
-        segment.p_edge,
-        segment.len_penalty,
-        params,
-    )
-    return segment.base_score + params.beta * structural
-
-
-def _by_pair(prepared: Sequence[_PreparedSegment]) -> dict[str, list[_PreparedSegment]]:
-    # Segments grouped by language pair, the pairs in sorted order.
-    by_pair: dict[str, list[_PreparedSegment]] = {}
-    for segment in prepared:
-        by_pair.setdefault(segment.lang_pair, []).append(segment)
-    return {lang_pair: by_pair[lang_pair] for lang_pair in sorted(by_pair)}
+def _combined(pair: _Columns, params: SwssParams) -> list[float]:
+    # base + beta * penalized score; omega is a fallback segment's F1, so
+    # one set of columns serves every omega of a grid search.
+    omega = params.omega
+    return [
+        b + params.beta * penalized_score(omega if u else f, u, ps, pn, pe, ln, params)
+        for b, f, u, ps, pn, pe, ln in zip(
+            pair.base, pair.f1, pair.fallback, pair.p_scene, pair.p_node, pair.p_edge, pair.len_penalty
+        )
+    ]
 
 
 def _correlations(
-    prepared: Sequence[_PreparedSegment], params: SwssParams
+    columns: Mapping[str, _Columns], params: SwssParams
 ) -> tuple[dict[str, float], dict[str, float], dict[str, int]]:
     per_pair: dict[str, float] = {}
     base_per_pair: dict[str, Optional[float]] = {}
     counts: dict[str, int] = {}
-    for lang_pair, segments in _by_pair(prepared).items():
-        combined = [_segment_score(s, params) for s in segments]
-        human = [s.human_score for s in segments]
-        bases = [s.base_score for s in segments]
+    for lang_pair, pair in columns.items():
         try:
-            per_pair[lang_pair] = pearson(combined, human)
+            per_pair[lang_pair] = pearson(_combined(pair, params), pair.human)
         except ValueError as exc:
             raise DatasetError(f"language pair {lang_pair!r}: {exc}") from None
         try:
-            base_per_pair[lang_pair] = pearson(bases, human)
+            base_per_pair[lang_pair] = pearson(pair.base, pair.human)
         except ValueError:
             base_per_pair[lang_pair] = None
-        counts[lang_pair] = len(segments)
+        counts[lang_pair] = len(pair.human)
     return per_pair, base_per_pair, counts
 
 
@@ -376,8 +357,8 @@ def evaluate(
     if not records:
         raise DatasetError("no records to evaluate")
     effective = apply_ablation(params if params is not None else SwssParams(), ablation)
-    prepared, skipped = _prepare_segments(records, effective, base, strict)
-    per_pair, base_per_pair, counts = _correlations(prepared, effective)
+    columns, skipped = _prepare_segments(records, effective, base, strict)
+    per_pair, base_per_pair, counts = _correlations(columns, effective)
     defined = [r for r in base_per_pair.values() if r is not None]
     return CorrelationReport(
         per_pair=per_pair,
@@ -453,8 +434,6 @@ class _PairSums:
     # Centred columns and the sums of one language pair that do not
     # depend on the alphas: b is the base, h the human score, u the
     # fallback flag; bh is sum(db * dh) and so on.
-    lo: int
-    hi: int
     dh: list
     db: list
     du: list
@@ -500,7 +479,7 @@ def _estimate(sums: list, beta: float, omega: float) -> tuple[float, float]:
         # Bounds |metric| (s and omega are at most 1); rounding at that
         # magnitude can collapse a tiny spread to a constant.
         top = pair.top_base + 2.0 * beta
-        n = pair.hi - pair.lo
+        n = len(pair.dh)
         if not sxx > _DEGENERATE * spread + n * (16 * sys.float_info.epsilon * top) ** 2:
             return math.nan, math.inf
         total += sxy / math.sqrt(sxx * pair.hh)
@@ -508,7 +487,7 @@ def _estimate(sums: list, beta: float, omega: float) -> tuple[float, float]:
     return total / len(sums), _SCREEN_FLOOR + _ROUNDING * slack / len(sums)
 
 
-def _screen(prepared: Sequence[_PreparedSegment], grid: "TuneGrid") -> list[tuple]:
+def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
     """Grid vectors, in lexicographic order, whose exact objective may be
     the maximum or may raise.
 
@@ -520,47 +499,39 @@ def _screen(prepared: Sequence[_PreparedSegment], grid: "TuneGrid") -> list[tupl
         grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4, grid.beta, grid.omega
     )
     pairs: list[_PairSums] = []
-    segments: list[_PreparedSegment] = []
-    for group in _by_pair(prepared).values():
-        human = [s.human_score for s in group]
-        if len(group) < 2 or max(human) == min(human):
+    sweeps = []
+    for pair in columns.values():
+        if len(pair.human) < 2 or max(pair.human) == min(pair.human):
             # Pearson raises at every point, so the first one tells how.
             return [next(points)]
-        dh = _scaled(_centred(human))
-        hh = math.fsum(d * d for d in dh)
-        bases = [s.base_score for s in group]
-        db = _centred(bases)
-        du = _centred([float(s.fallback_used) for s in group])
+        dh = _scaled(_centred(pair.human))
+        db = _centred(pair.base)
+        du = _centred(pair.fallback)
         pairs.append(
             _PairSums(
-                lo=len(segments), hi=len(segments) + len(group), dh=dh, db=db, du=du,
-                hh=hh, bh=_dot(db, dh), uh=_dot(du, dh), bb=_dot(db, db), uu=_dot(du, du),
-                bu=_dot(db, du), top_base=max(map(abs, bases)),
+                dh=dh, db=db, du=du, hh=math.fsum(d * d for d in dh), bh=_dot(db, dh), uh=_dot(du, dh),
+                bb=_dot(db, db), uu=_dot(du, du), bu=_dot(db, du), top_base=max(map(abs, pair.base)),
             )
         )
-        segments.extend(group)
-
-    f1 = [0.0 if s.fallback_used else s.f1 for s in segments]
-    columns = (
-        [s.p_scene for s in segments],
-        [s.p_node for s in segments],
-        [s.p_edge for s in segments],
-        [s.len_penalty for s in segments],
-    )
-    tables = [
-        [(alpha, [math.exp(-alpha * p) for p in column]) for alpha in values]
-        for values, column in zip((grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4), columns)
-    ]
+        tables = [
+            [(alpha, [math.exp(-alpha * p) for p in column]) for alpha in values]
+            for values, column in zip(
+                (grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4),
+                (pair.p_scene, pair.p_node, pair.p_edge, pair.len_penalty),
+            )
+        ]
+        sweeps.append(_alpha_sweep(pair.f1, tables))
 
     lower = -math.inf  # the best lower bound on any point's exact objective
     candidates: list[tuple[float, tuple]] = []
     prune_at = 64
-    for alphas, scores in _alpha_sweep(f1, tables):
+    # Every pair's sweep visits the alpha tuples in the same order.
+    for swept in zip(*sweeps):
+        alphas = swept[0][0]
         sums = []
-        for pair in pairs:
-            column = scores[pair.lo : pair.hi]
-            mean = sum(column) / len(column)
-            ds = [x - mean for x in column]
+        for pair, (_, scores) in zip(pairs, swept):
+            mean = sum(scores) / len(scores)
+            ds = [x - mean for x in scores]
             sums.append((pair, _dot(ds, pair.dh), _dot(ds, ds), _dot(ds, pair.db), _dot(ds, pair.du)))
         for beta in grid.beta:
             for omega in grid.omega:
@@ -600,13 +571,13 @@ def grid_search(
     if not records:
         raise DatasetError("no records to tune on")
     logger.info("grid search over %d parameter points", grid.size)
-    prepared, _ = _prepare_segments(records, SwssParams(), base, strict)
+    columns, _ = _prepare_segments(records, SwssParams(), base, strict)
 
-    candidates = _screen(prepared, grid)
+    candidates = _screen(columns, grid)
     best_vector = None
     best_objective = -math.inf
     for vector in candidates:
-        per_pair, _, _ = _correlations(prepared, SwssParams(*vector))
+        per_pair, _, _ = _correlations(columns, SwssParams(*vector))
         objective = _mean(per_pair.values())
         if objective > best_objective:
             best_objective = objective

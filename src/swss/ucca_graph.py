@@ -496,6 +496,8 @@ def graph_from_dict(obj: object, lenient: bool = False) -> UccaGraph:
         node_id = entry.get("id") if isinstance(entry, dict) else None
         if not isinstance(node_id, str) or not node_id:
             raise GraphError(f"nodes[{i}]: expected an object with a non-empty string 'id'")
+        if len(entry) != 1:
+            raise GraphError(f"nodes[{i}]: unknown field {sorted(set(entry) - {'id'})[0]!r}")
         if node_id in node_ids:
             raise GraphError(f"duplicate node id {node_id!r}")
         node_ids.add(node_id)

@@ -1,11 +1,57 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from swss.core_words import CoreWord, CoreWordBag
 from swss.ucca_graph import Category, Edge, Terminal, build_graph, parse_ucca_json, parse_ucca_xml
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Values that parse as something in one field and mean nothing in another.
+ODD_VALUES = ["", "0", "-1", "1", "9", "10", "x", "1.5", "1e3", "99999999999999999999", "true", "false",
+              "H", "A", "P", "Terminal", "FN", "Word", "1.1", "1.2", "0.1", "0.9", "t1", "top", "scene",
+              "a\ud800b"]
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.sampled_from(ODD_VALUES) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "terminal", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def mutate_bytes(draw, data):
+    """``data`` with a few bytes replaced, deleted or inserted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "replace":
+            data[at] = draw(st.integers(0, 255))
+        elif op == "delete":
+            del data[at]
+        else:
+            data.insert(at, draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+def mutate_json(draw, document):
+    """Replace one value anywhere in a decoded JSON document, or remove
+    its key."""
+    slots = []
+
+    def collect(node):
+        keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            slots.append((node, key))
+            collect(node[key])
+
+    collect(document)
+    node, key = draw(st.sampled_from(slots))
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(_json_values)
 
 
 def make_graph(tokens, edges, lenient=False):

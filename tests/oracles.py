@@ -1,22 +1,29 @@
 """Independent reference implementations used only as test oracles.
 
-These deliberately share no code with the library: the matching oracles
-are exhaustive subset searches, the BLEU oracle uses explicit n-gram lists
-and the product form of the geometric mean, the correlation oracle uses
-the raw-moment formula, and the isomorphism check compares canonical
-forms of the primary tree. The graph-validation, XML-parsing,
-JSON-reading, stemming, grid-search, scoring and preparation oracles are
-the exception: they are the slower paths the library replaced (a
-reachability walk plus a three-colour DFS, the XML parser built on it,
-the document reader that checks every field in order, the buffer-based
-stemmer, exhaustive grid loop, scoring straight from graphs, loading both
-graphs of every record), which the fast paths must agree with bit for bit.
+The matching oracles are exhaustive subset searches, the BLEU oracle uses
+explicit n-gram lists and the product form of the geometric mean, the
+correlation oracle uses the raw-moment formula, and the isomorphism check
+compares canonical forms of the primary tree. The graph-validation,
+XML-parsing, JSON-reading, stemming and scoring oracles are the slower
+paths the library replaced (a reachability walk plus a three-colour DFS,
+the XML parser built on it, the document reader that checks every field
+in order, the buffer-based stemmer, scoring straight from graphs), which
+the fast paths must agree with bit for bit. The evaluation and
+grid-search oracles load both graphs of every record, score them with
+the scoring oracle, and build each language pair's combined metric and
+its mean with loops of their own, at every grid point. They call the
+library's public ``pearson`` and ``sentence_bleu``, because their reports
+must match bit for bit, and the textbook versions here differ from those
+in the last bits.
+
+No oracle imports a private name of the library, apart from the three
+Porter rule tables, which are data that the vocabulary conformance test
+checks on its own; ``tests/test_checks.py`` enforces this.
 """
 
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import replace
 from functools import lru_cache
 
 from swss.porter import _STEP2_RULES, _STEP3_RULES, _STEP4_SUFFIXES
@@ -144,33 +151,6 @@ def reference_pearson(xs, ys):
     return (n * sxy - sx * sy) / math.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
 
 
-def grid_search_bruteforce(records, grid, base="bleu"):
-    """Exhaustive grid search: the exact objective at every point.
-
-    This is the per-point loop the closed-form search in
-    ``swss.harness.grid_search`` replaced; it reuses the library's
-    segment preparation and per-point correlation on purpose, so the two
-    differ only in how they pick the points to evaluate exactly.
-    """
-    from swss.harness import _correlations, _mean, _prepare_segments
-    from swss.scoring import SwssParams
-
-    prepared, _ = _prepare_segments(records, SwssParams(), base, strict=False)
-    best_vector = None
-    best_objective = -math.inf
-    for vector in itertools.product(
-        grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4, grid.beta, grid.omega
-    ):
-        params = SwssParams(*vector)
-        adjusted = [s if not s.fallback_used else replace(s, f1=params.omega) for s in prepared]
-        per_pair, _, _ = _correlations(adjusted, params)
-        objective = _mean(per_pair.values())
-        if objective > best_objective:
-            best_objective = objective
-            best_vector = vector
-    return SwssParams(*best_vector), best_objective
-
-
 def swss_from_graphs(candidate_graph, reference_graph, params):
     """The pair score computed straight from the two graphs, as
     ``swss.scoring.swss`` did before it scored from per-graph features:
@@ -234,20 +214,18 @@ def swss_from_graphs(candidate_graph, reference_graph, params):
     )
 
 
-def prepare_segments_per_record(records, params, base, strict):
-    """Segment preparation record by record, as
-    ``swss.harness._prepare_segments`` did before it kept per-file
-    features: both graphs of every record are loaded and scored afresh,
-    so a file that k records share is parsed k times. Drop-in for
-    ``_prepare_segments`` (same arguments, same result and errors)."""
+def _scored_per_record(records, params, base, strict):
+    """Both graphs of every record loaded and scored afresh, so a file
+    that k records share is parsed k times. Returns, per language pair in
+    sorted order, the rows ``(base score, human score, breakdown)`` of the
+    records scored, and the number skipped."""
     from swss.errors import DatasetError, GraphError
-    from swss.harness import _PreparedSegment
     from swss.lexical import ExternalScoreTable, sentence_bleu
     from swss.ucca_graph import load_graph
 
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
-    prepared = []
+    rows = defaultdict(list)
     skipped = 0
     for record in records:
         try:
@@ -263,22 +241,91 @@ def prepare_segments_per_record(records, params, base, strict):
         else:
             base_score = sentence_bleu(candidate.tokens(), reference.tokens())
         breakdown = swss_from_graphs(candidate, reference, params)
-        prepared.append(
-            _PreparedSegment(
-                lang_pair=record.lang_pair,
-                base_score=base_score,
-                human_score=record.human_score,
-                f1=breakdown.f1,
-                fallback_used=breakdown.fallback_used,
-                p_scene=breakdown.p_scene,
-                p_node=breakdown.p_node,
-                p_edge=breakdown.p_edge,
-                len_penalty=breakdown.len_penalty,
-            )
-        )
-    if not prepared:
+        rows[record.lang_pair].append((base_score, record.human_score, breakdown))
+    if not rows:
         raise DatasetError("no segments could be evaluated")
-    return prepared, skipped
+    return {lang_pair: rows[lang_pair] for lang_pair in sorted(rows)}, skipped
+
+
+def _pair_correlation(lang_pair, combined, human):
+    from swss.errors import DatasetError
+    from swss.harness import pearson
+
+    try:
+        return pearson(combined, human)
+    except ValueError as exc:
+        raise DatasetError(f"language pair {lang_pair!r}: {exc}") from None
+
+
+def evaluate_per_record(records, params, base="bleu", strict=False):
+    """``swss.harness.evaluate(records, params, base, strict=strict)
+    .to_dict()``, computed record by record: each record's combined
+    metric is its base score plus beta times the ``swss_from_graphs``
+    score of its two graphs. Same report and the same errors."""
+    from swss.errors import DatasetError
+    from swss.harness import pearson
+
+    if not records:
+        raise DatasetError("no records to evaluate")
+    rows_by_pair, skipped = _scored_per_record(records, params, base, strict)
+    per_pair, base_per_pair, n = {}, {}, {}
+    for lang_pair, rows in rows_by_pair.items():
+        human = [h for _, h, _ in rows]
+        combined = [b + params.beta * breakdown.swss for b, _, breakdown in rows]
+        per_pair[lang_pair] = _pair_correlation(lang_pair, combined, human)
+        try:
+            base_per_pair[lang_pair] = pearson([b for b, _, _ in rows], human)
+        except ValueError:
+            base_per_pair[lang_pair] = None
+        n[lang_pair] = len(rows)
+    defined = [r for r in base_per_pair.values() if r is not None]
+    return {
+        "per_pair": per_pair,
+        "base_per_pair": base_per_pair,
+        "average": math.fsum(per_pair.values()) / len(per_pair),
+        "base_average": math.fsum(defined) / len(defined) if len(defined) == len(base_per_pair) else None,
+        "n": n,
+        "skipped": skipped,
+        "params": params.to_dict(),
+        "base": base if isinstance(base, str) else base.metric_name,
+    }
+
+
+def grid_search_per_record(records, grid, base="bleu", strict=False):
+    """``swss.harness.grid_search`` as an exhaustive search: every record
+    is scored once with ``swss_from_graphs``, then every grid point, in
+    lexicographic order, rescores each record from its breakdown (omega
+    for a fallback segment, undiscounted) and takes the average Pearson r
+    over pairs. Returns the first point of highest objective, or raises
+    the DatasetError of the first point where some pair's metric is
+    constant."""
+    from swss.errors import DatasetError
+    from swss.scoring import SwssParams
+
+    if not records:
+        raise DatasetError("no records to tune on")
+    rows_by_pair, _ = _scored_per_record(records, SwssParams(), base, strict)
+    best_vector = None
+    best_objective = -math.inf
+    for vector in itertools.product(
+        grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4, grid.beta, grid.omega
+    ):
+        a1, a2, a3, a4, beta, omega = vector
+        correlations = []
+        for lang_pair, rows in rows_by_pair.items():
+            combined = []
+            for b, _, s in rows:
+                if s.fallback_used:
+                    score = omega
+                else:
+                    score = s.f1 * math.exp(-(a1 * s.p_scene + a2 * s.p_node + a3 * s.p_edge + a4 * s.len_penalty))
+                combined.append(b + beta * score)
+            correlations.append(_pair_correlation(lang_pair, combined, [h for _, h, _ in rows]))
+        objective = math.fsum(correlations) / len(correlations)
+        if objective > best_objective:
+            best_objective = objective
+            best_vector = vector
+    return SwssParams(*best_vector), best_objective
 
 
 def build_graph_reference(root, terminals, internal_nodes, edges, lenient=False):
@@ -575,6 +622,9 @@ def graph_from_dict_reference(obj, lenient=False):
     for i, entry in enumerate(nodes):
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) or not entry["id"]:
             raise GraphError(f"nodes[{i}]: expected an object with a non-empty string 'id'")
+        unknown = set(entry) - {"id"}
+        if unknown:
+            raise GraphError(f"nodes[{i}]: unknown field {sorted(unknown)[0]!r}")
         if entry["id"] in node_ids:
             raise GraphError(f"duplicate node id {entry['id']!r}")
         node_ids.append(entry["id"])

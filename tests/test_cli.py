@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import runpy
@@ -5,7 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ODD_VALUES, mutate_bytes, mutate_json
 from swss.cli import main
 from swss.harness import ABLATIONS, load_dataset
 from swss.synthetic import write_synthetic_dataset
@@ -269,6 +274,101 @@ class TestInputFileErrors:
         path.write_bytes(content)
         self.check(capsys, path, "tune", str(corpus), "--grid", str(path))
 
+    @pytest.mark.parametrize("defect", ["missing-graph", "lone-pair", "missing-row"])
+    def test_dataset_errors_name_the_file(self, capsys, corpus, defect):
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        if defect == "missing-graph":
+            records[0]["candidate_ucca"] = "gone.json"
+        elif defect == "lone-pair":
+            records[0]["lang_pair"] = "zz-en"
+        manifest = corpus.parent / f"{defect}.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+        tsv = corpus.parent / f"{defect}.tsv"
+        kept = records[1:] if defect == "missing-row" else records
+        tsv.write_text("".join(f"{r['system']}\t{r['segment_id']}\t0.5\n" for r in kept))
+        self.check(capsys, tsv if defect == "missing-row" else manifest, "evaluate", str(manifest), "--base", f"tsv:{tsv}")
+
+
+VALID_PARAMS = {
+    "alpha1": 0.1,
+    "beta": 0.3,
+    "omega": 0.25,
+    "category_weights": {"P": 2.0, "A": 0.5},
+    "fallback_applies_penalties": True,
+    "include_remote_critical_edges": False,
+}
+VALID_GRID = {"alpha1": [0.0, 0.2], "alpha4": [0.0, 0.01], "beta": [0.1, 0.5], "omega": [0.0, 0.5]}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid file of each kind the CLI reads besides graphs, in a corpus
+    directory so that a manifest written there finds the graph files."""
+    dest = tmp_path_factory.mktemp("inputs")
+    manifest = write_synthetic_dataset(dest, n_segments=8, lang_pairs=("aa-en", "bb-en"), seed=5, noise=0.01)
+    tsv = "".join(f"{r.system}\t{r.segment_id}\t{r.human_score / 2}\n" for r in load_dataset(manifest))
+    return dest, {
+        "manifest": manifest.read_bytes(),
+        "tsv": tsv.encode(),
+        "params": json.dumps(VALID_PARAMS).encode(),
+        "grid": json.dumps(VALID_GRID).encode(),
+    }
+
+
+@st.composite
+def value_mutants(draw, kind, content):
+    """``content`` with one value replaced or removed: one JSON value of a
+    manifest line or of a parameter or grid file, or one TSV cell."""
+    if kind == "tsv":
+        rows = [line.split("\t") for line in content.decode().splitlines()]
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 2))] = draw(st.sampled_from(ODD_VALUES) | st.text(max_size=4))
+        return "".join("\t".join(row) + "\n" for row in rows).encode("utf-8", "surrogatepass")
+    if kind == "manifest":
+        lines = content.decode().splitlines()
+        at = draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[at])
+        mutate_json(draw, record)
+        lines[at] = json.dumps(record)
+        return "".join(line + "\n" for line in lines).encode()
+    document = json.loads(content)
+    mutate_json(draw, document)
+    return json.dumps(document).encode()
+
+
+class TestInputFileFuzz:
+    """Whatever a mutated manifest, TSV base, parameter or grid file
+    holds, ``swss evaluate`` and ``swss tune`` exit 0, or 1 with an error
+    that names the file, never 2. Output is encoded as UTF-8, as on a
+    terminal."""
+
+    def check(self, valid_inputs, kind, content):
+        dest, _ = valid_inputs
+        manifest = dest / "manifest.jsonl"
+        path = dest / f"mutant.{kind}"
+        path.write_bytes(content)
+        argv = {
+            "manifest": ["evaluate", str(path)],
+            "tsv": ["evaluate", str(manifest), "--base", f"tsv:{path}"],
+            "params": ["evaluate", str(manifest), "--params", str(path)],
+            "grid": ["tune", str(manifest), "--grid", str(path)],
+        }[kind]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 0 or code == 1 and str(path) in err.getvalue(), err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["manifest", "tsv", "params", "grid"]))
+    def test_byte_mutants(self, valid_inputs, data, kind):
+        self.check(valid_inputs, kind, mutate_bytes(data.draw, valid_inputs[1][kind]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["manifest", "tsv", "params", "grid"]))
+    def test_value_mutants(self, valid_inputs, data, kind):
+        self.check(valid_inputs, kind, data.draw(value_mutants(kind, valid_inputs[1][kind])))
+
 
 class TestCliSurface:
     def test_unknown_flag_rejected(self, capsys, figure_xml_path):
@@ -338,6 +438,16 @@ class TestAblationScript:
             self.run_script(monkeypatch, str(corpus), "--base", "meteor.tsv")
         assert info.value.code == 1
         self.assert_input_error(capsys, "unknown base metric 'meteor.tsv'")
+
+    def test_dataset_error_names_the_manifest(self, capsys, monkeypatch, corpus):
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        records[0]["lang_pair"] = "zz-en"
+        manifest = corpus.parent / "ablation-lone-pair.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(SystemExit) as info:
+            self.run_script(monkeypatch, str(manifest))
+        assert info.value.code == 1
+        self.assert_input_error(capsys, f"{manifest}: language pair 'zz-en'")
 
     def test_non_object_params_gets_cli_error(self, capsys, monkeypatch, tmp_path, corpus):
         params = tmp_path / "params.json"

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_search_bruteforce, prepare_segments_per_record, reference_pearson
+from oracles import evaluate_per_record, grid_search_per_record, reference_pearson
 from swss import harness
 from swss.errors import DatasetError, GraphError
 from swss.harness import TuneGrid, evaluate, grid_search, load_dataset, pearson
@@ -433,9 +433,10 @@ def axis(values):
     return st.lists(st.sampled_from(values), min_size=1, max_size=3)
 
 
-def outcome(search, records, grid, base):
+def outcome(function, *args, **kwargs):
+    """``function(*args, **kwargs)``, or the text of the DatasetError it raises."""
     try:
-        return search(records, grid, base)
+        return function(*args, **kwargs)
     except DatasetError as exc:
         return str(exc)
 
@@ -471,7 +472,7 @@ class TestGridSearchOracle:
                 # Every ratio penalty is 0, so alpha1..alpha3 tie exactly.
                 records = [dataclasses.replace(r, candidate_ucca=r.reference_ucca) for r in records]
             base = "bleu" if constant_base is None else constant_table(records, constant_base)
-            expected = outcome(grid_search_bruteforce, records, grid, base)
+            expected = outcome(grid_search_per_record, records, grid, base)
             got = outcome(grid_search, records, grid, base)
             assert got == expected
             if not isinstance(got, str):
@@ -483,7 +484,7 @@ class TestGridSearchOracle:
             dataclasses.replace(r, human_score=0.5) if r.lang_pair == "bb-en" else r for r in records
         ]
         grid = singleton_grid(alpha1=(0.0, 0.2), beta=(0.1, 0.2))
-        expected = outcome(grid_search_bruteforce, flat, grid, "bleu")
+        expected = outcome(grid_search_per_record, flat, grid, "bleu")
         assert expected == "language pair 'bb-en': pearson is undefined for a constant input"
         with pytest.raises(DatasetError) as info:
             grid_search(flat, grid)
@@ -492,7 +493,7 @@ class TestGridSearchOracle:
     def test_constant_base_at_beta_zero_raises_like_bruteforce(self, records):
         table = constant_table(records, 0.25)
         grid = singleton_grid(alpha1=(0.0, 0.2), beta=(0.0, 0.2))
-        expected = outcome(grid_search_bruteforce, records, grid, table)
+        expected = outcome(grid_search_per_record, records, grid, table)
         assert expected == "language pair 'aa-en': pearson is undefined for a constant input"
         with pytest.raises(DatasetError) as info:
             grid_search(records, grid, base=table)
@@ -554,17 +555,6 @@ def random_table(records):
     return ExternalScoreTable(metric_name="meteor", rows={(r.system, r.segment_id): rng.random() for r in records})
 
 
-def per_record(monkeypatch, run):
-    """``run()`` with the per-record preparation oracle in place of the
-    library's, or the text of the DatasetError it raises."""
-    with monkeypatch.context() as patched:
-        patched.setattr(harness, "_prepare_segments", prepare_segments_per_record)
-        try:
-            return run()
-        except DatasetError as exc:
-            return str(exc)
-
-
 class TestSharedFiles:
     """Each distinct file is loaded once per run and its features are
     shared by every record that names it; the results must be those of
@@ -576,27 +566,23 @@ class TestSharedFiles:
 
     @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records"])
     @pytest.mark.parametrize("table", [False, True], ids=["bleu", "tsv"])
-    def test_matches_per_record_oracle(self, request, monkeypatch, fixture, table):
+    def test_matches_per_record_oracle(self, request, fixture, table):
         records = request.getfixturevalue(fixture)
         base = random_table(records) if table else "bleu"
-        for run in (
-            lambda: evaluate(records, SwssParams(), base=base).to_dict(),
-            lambda: evaluate(records, SwssParams(include_remote_critical_edges=True), base=base).to_dict(),
-            lambda: grid_search(records, self.GRID, base=base),
-        ):
-            expected = per_record(monkeypatch, run)
-            assert run() == expected
+        for params in (SwssParams(), SwssParams(include_remote_critical_edges=True)):
+            assert evaluate(records, params, base=base).to_dict() == evaluate_per_record(records, params, base)
+        assert grid_search(records, self.GRID, base=base) == grid_search_per_record(records, self.GRID, base)
 
-    def test_strict_raises_like_oracle_at_first_record_of_a_corrupt_file(self, monkeypatch, corrupt_shared_records):
+    def test_strict_raises_like_oracle_at_first_record_of_a_corrupt_file(self, corrupt_shared_records):
         records = corrupt_shared_records
-        for run in (
-            lambda: evaluate(records, SwssParams(), strict=True),
-            lambda: grid_search(records, self.GRID, strict=True),
+        for search, oracle, arg in (
+            (evaluate, evaluate_per_record, SwssParams()),
+            (grid_search, grid_search_per_record, self.GRID),
         ):
-            expected = per_record(monkeypatch, run)
+            expected = outcome(oracle, records, arg, strict=True)
             assert expected.startswith(f"record {records[2].label}: {records[2].reference_ucca}: malformed JSON")
             with pytest.raises(DatasetError) as info:
-                run()
+                search(records, arg, strict=True)
             assert str(info.value) == expected
 
     def test_lenient_skips_every_record_of_a_corrupt_file(self, corrupt_shared_records, caplog):

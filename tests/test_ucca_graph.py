@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, make_graph
+from conftest import DATA_DIR, ODD_VALUES, make_graph, mutate_bytes, mutate_json
 from oracles import build_graph_reference, graph_from_dict_reference, isomorphic, parse_ucca_xml_reference
 from swss.cli import main
 from swss.core_words import CoreWord
@@ -416,6 +416,20 @@ class TestJsonParsing:
         with pytest.raises(GraphError, match="unknown field 'extra'"):
             parse_ucca_json(json.dumps(document))
 
+    def test_unknown_node_field_named(self):
+        document = {
+            "tokens": ["Hi"],
+            "nodes": [{"id": "r"}, {"id": "u", "colour": "red"}],
+            "root": "r",
+            "edges": [
+                {"parent": "r", "child": "u", "category": "H", "remote": False},
+                {"parent": "u", "child": {"terminal": 1}, "category": "C", "remote": False},
+            ],
+        }
+        for parse in (graph_from_dict, graph_from_dict_reference):
+            with pytest.raises(GraphError, match=r"^nodes\[1\]: unknown field 'colour'$"):
+                parse(document)
+
     def test_terminal_position_out_of_range(self):
         document = {
             "tokens": ["Hi"],
@@ -702,23 +716,7 @@ FIXTURE_BYTES = {fmt: (DATA_DIR / f"figure_sentence.{fmt}").read_bytes() for fmt
 @st.composite
 def byte_mutants(draw, fmt):
     """A figure fixture with a few bytes replaced, deleted or inserted."""
-    data = bytearray(FIXTURE_BYTES[fmt])
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(data) - 1))
-        op = draw(st.sampled_from(["replace", "delete", "insert"]))
-        if op == "replace":
-            data[at] = draw(st.integers(0, 255))
-        elif op == "delete":
-            del data[at]
-        else:
-            data.insert(at, draw(st.integers(0, 255)))
-    return bytes(data)
-
-
-# Values that parse as something in one field and mean nothing in another.
-_ODD_VALUES = ["", "0", "-1", "1", "9", "10", "x", "1.5", "1e3", "99999999999999999999", "true", "false",
-               "H", "A", "P", "Terminal", "FN", "Word", "1.1", "1.2", "0.1", "0.9", "t1", "top", "scene",
-               "a\ud800b"]
+    return mutate_bytes(draw, FIXTURE_BYTES[fmt])
 
 
 @st.composite
@@ -727,34 +725,8 @@ def xml_attribute_mutants(draw):
     text = FIXTURE_BYTES["xml"].decode("utf-8")
     spans = [m.span(1) for m in re.finditer(r'\w+="([^"]*)"', text)]
     start, end = draw(st.sampled_from(spans))
-    value = draw(st.sampled_from(_ODD_VALUES) | st.text(max_size=4))
+    value = draw(st.sampled_from(ODD_VALUES) | st.text(max_size=4))
     return (text[:start] + value + text[end:]).encode("utf-8", "surrogatepass")
-
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.sampled_from(_ODD_VALUES) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "terminal", "x"]), inner, max_size=2),
-    max_leaves=4,
-)
-
-
-def mutate_json(draw, document):
-    """Replace one value anywhere in a decoded JSON document, or remove
-    its key."""
-    slots = []
-
-    def collect(node):
-        keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
-        for key in keys:
-            slots.append((node, key))
-            collect(node[key])
-
-    collect(document)
-    node, key = draw(st.sampled_from(slots))
-    if isinstance(node, dict) and draw(st.booleans()):
-        del node[key]
-    else:
-        node[key] = draw(_json_values)
 
 
 @st.composite
