@@ -47,6 +47,7 @@ HARNESS = "src/swss/harness.py"
 UCCA_GRAPH = "src/swss/ucca_graph.py"
 GRID_ORACLE = "tests/test_harness.py::TestGridSearchOracle"
 SHARED_FILES = "tests/test_harness.py::TestSharedFiles"
+WORKER_POOL = "tests/test_harness.py::TestWorkerPool"
 VALIDATOR_ORACLE = "tests/test_ucca_graph.py::TestValidation::test_agrees_with_reference_validator"
 XML_ORACLE = "tests/test_ucca_graph.py::TestXmlReference::test_agrees_with_reference_parser"
 
@@ -107,6 +108,37 @@ MUTATIONS = (
         "            if not last:\n                self._kept[path] = found",
         "            self._kept[path] = found",
         (f"{SHARED_FILES}::test_features_are_kept_only_until_last_use",),
+    ),
+    Mutation(
+        "pool-merge-in-arrival-order",
+        HARNESS,
+        "outcomes[i] = outcome",
+        "outcomes[outcomes.index(None)] = outcome",
+        (f"{WORKER_POOL}::test_first_error_in_record_order_wins", f"{WORKER_POOL}::test_matches_serial_run_and_oracle"),
+    ),
+    Mutation(
+        "pool-partition-splits-shared-files",
+        HARNESS,
+        "            group[max(a, b)] = min(a, b)\n",
+        "            pass\n",
+        (
+            f"{WORKER_POOL}::test_tasks_partition_records_and_keep_shared_files_together",
+            f"{WORKER_POOL}::test_workers_score_and_load_each_file_once",
+        ),
+    ),
+    Mutation(
+        "pool-in-daemonic-worker",
+        HARNESS,
+        "        or multiprocessing.current_process().daemon\n",
+        "",
+        (f"{WORKER_POOL}::test_runs_serially_in_a_daemonic_worker",),
+    ),
+    Mutation(
+        "pool-forked-while-threads-run",
+        HARNESS,
+        "        or threading.active_count() > 1\n",
+        "",
+        (f"{WORKER_POOL}::test_runs_serially_while_other_threads_run",),
     ),
     Mutation(
         "features-ignore-include-remote",

@@ -2,9 +2,16 @@ import dataclasses
 import itertools
 import json
 import logging
+import multiprocessing
+import multiprocessing.pool
+import os
 import random
+import subprocess
+import sys
 import tempfile
+import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import scipy.stats
@@ -614,23 +621,213 @@ class TestSharedFiles:
         assert set(loads.values()) == {1}
 
     def test_features_are_kept_only_until_last_use(self, monkeypatch, shared_records, corrupt_shared_records, tmp_path):
-        # Every file of the synthetic corpus is single-use, so nothing may be kept there.
-        unique = load_dataset(write_synthetic_dataset(tmp_path, n_segments=6, seed=2))
-        cache_class = harness._FeatureCache
-        for records in (shared_records, corrupt_shared_records, unique):
-            later = Counter(p for r in records for p in (r.candidate_ucca, r.reference_ucca))
-            loaded = set()
+        check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, pooled=False)
 
-            class Checked(cache_class):
-                def take(self, path, load=True):
-                    found = super().take(path, load)
-                    later[path] -= 1
-                    if found is not None:
-                        loaded.add(path)
-                    assert set(self._kept) == {p for p in loaded if later[p] > 0}
-                    return found
 
-            monkeypatch.setattr(harness, "_FeatureCache", Checked)
-            evaluate(records, SwssParams())
+def check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, pooled):
+    """Check, at every use of a file, that the feature cache holds exactly
+    the files loaded so far that a later record still names."""
+    # Every file of the synthetic corpus is single-use, so nothing may be kept there.
+    unique = load_dataset(write_synthetic_dataset(tmp_path, n_segments=6, seed=2))
+    cache_class = harness._FeatureCache
+    for records in (shared_records, corrupt_shared_records, unique):
+        later = Counter(p for r in records for p in (r.candidate_ucca, r.reference_ucca))
+        loaded = set()
+
+        class Checked(cache_class):
+            def take(self, path, load=True):
+                found = super().take(path, load)
+                later[path] -= 1
+                if found is not None:
+                    loaded.add(path)
+                assert set(self._kept) == {p for p in loaded if later[p] > 0}
+                return found
+
+        monkeypatch.setattr(harness, "_FeatureCache", Checked)
+        evaluate(records, SwssParams())
+        if pooled:
+            assert not loaded  # every check ran in a worker
+        else:
             # Every use was counted, also that of a reference whose candidate failed.
             assert set(later.values()) == {0}
+
+
+def force_pool(monkeypatch):
+    """Score with two forked workers, whatever the record and CPU counts."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("worker processes need the fork start method")
+    monkeypatch.setattr(harness, "_POOL_MIN_RECORDS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def log_loads(monkeypatch, log):
+    """Make every graph load append ``pid path`` to the file ``log``."""
+    real = harness.load_graph
+
+    def logged(path, lenient=False):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {path}\n")
+        return real(path, lenient=lenient)
+
+    monkeypatch.setattr(harness, "load_graph", logged)
+
+
+def logged_loads(log):
+    lines = log.read_text(encoding="utf-8").splitlines()
+    return Counter(int(line.split(" ", 1)[0]) for line in lines), Counter(line.split(" ", 1)[1] for line in lines)
+
+
+def result_or_error(function, *args, **kwargs):
+    """The result of a call, or the type and text of what it raised."""
+    try:
+        return function(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def evaluate_in_a_worker(records):
+    return evaluate(records, SwssParams()).to_dict()
+
+
+class TestWorkerPool:
+    """Records scored by forked workers, which a run starts for enough
+    records on more than one CPU, give the serial run's results, errors
+    and warnings."""
+
+    GRID = TestSharedFiles.GRID
+
+    def test_workers_score_and_load_each_file_once(self, monkeypatch, shared_records, tmp_path):
+        force_pool(monkeypatch)
+        log_loads(monkeypatch, tmp_path / "loads")
+        evaluate(shared_records, SwssParams())
+        pids, paths = logged_loads(tmp_path / "loads")
+        assert pids and os.getpid() not in pids
+        assert paths == Counter(str(p) for p in {p for r in shared_records for p in (r.candidate_ucca, r.reference_ucca)})
+
+    def test_features_are_kept_only_until_last_use(self, monkeypatch, shared_records, corrupt_shared_records, tmp_path):
+        # A worker checks only its own tasks, and no other task names
+        # their files; a failed check comes back as that record's error.
+        force_pool(monkeypatch)
+        check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, pooled=True)
+
+    @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records"])
+    @pytest.mark.parametrize("table", [False, True], ids=["bleu", "tsv"])
+    def test_matches_serial_run_and_oracle(self, monkeypatch, request, fixture, table):
+        records = request.getfixturevalue(fixture)
+        base = random_table(records) if table else "bleu"
+        serial = harness._prepare_segments(records, SwssParams(), base, False)
+        force_pool(monkeypatch)
+        assert harness._prepare_segments(records, SwssParams(), base, False) == serial
+        for params in (SwssParams(), SwssParams(include_remote_critical_edges=True)):
+            assert evaluate(records, params, base=base).to_dict() == evaluate_per_record(records, params, base)
+        assert grid_search(records, self.GRID, base=base) == grid_search_per_record(records, self.GRID, base)
+
+    def test_strict_error_and_lenient_warnings_match_serial_run(self, monkeypatch, corrupt_shared_records, caplog):
+        records = corrupt_shared_records
+
+        def run():
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="swss.harness"):
+                evaluate(records, SwssParams())
+            warnings = [r.getMessage() for r in caplog.records]
+            return result_or_error(evaluate, records, SwssParams(), strict=True), warnings
+
+        serial = run()
+        assert len(serial[1]) == 5 and serial[0][0] is DatasetError
+        force_pool(monkeypatch)
+        assert run() == serial
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [("graph", DatasetError), ("tsv-row", DatasetError), ("deleted-file", FileNotFoundError)],
+    )
+    def test_first_error_in_record_order_wins(self, monkeypatch, tmp_path, fault, error):
+        # Records 0 and 17 fail, in different tasks, and the task that
+        # holds record 0 is merged last.
+        records = write_shared_corpus(tmp_path / "corpus")
+        failing = (records[0], records[17])
+        base, strict = "bleu", fault == "graph"
+        if fault == "graph":
+            for record in failing:
+                record.candidate_ucca.write_text("{not json")
+        elif fault == "tsv-row":
+            table = random_table(records)
+            missing = {(r.system, r.segment_id) for r in failing}
+            base = ExternalScoreTable(table.metric_name, {k: v for k, v in table.rows.items() if k not in missing})
+        else:
+            for record in failing:
+                record.candidate_ucca.unlink()
+        serial = result_or_error(evaluate, records, SwssParams(), base=base, strict=strict)
+        assert serial[0] is error
+        assert "'sys0', segment 0" in serial[1] if fault == "tsv-row" else records[0].candidate_ucca.name in serial[1]
+
+        tasks = harness._tasks(records, 8)
+        assert tasks[0][0] == 0 and 17 in tasks[-1]
+        imap_unordered = multiprocessing.pool.Pool.imap_unordered
+
+        def last_task_first(pool, function, iterable):
+            return sorted(imap_unordered(pool, function, iterable), key=lambda done: done[0], reverse=True)
+
+        force_pool(monkeypatch)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", last_task_first)
+        assert result_or_error(evaluate, records, SwssParams(), base=base, strict=strict) == serial
+
+    def test_worker_traceback_is_the_cause_of_an_unexpected_error(self, monkeypatch, shared_records):
+        def broken(candidate, reference, params):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(harness, "score_from_features", broken)
+        force_pool(monkeypatch)
+        with pytest.raises(TypeError, match="^boom$") as info:
+            evaluate(shared_records, SwssParams())
+        assert "in _score_record" in str(info.value.__cause__)
+
+    def test_runs_serially_in_a_daemonic_worker(self, monkeypatch, shared_records, tmp_path):
+        expected = evaluate(shared_records, SwssParams()).to_dict()
+        force_pool(monkeypatch)
+        log_loads(monkeypatch, tmp_path / "loads")
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            assert outer.apply(evaluate_in_a_worker, (shared_records,)) == expected
+        pids, _ = logged_loads(tmp_path / "loads")
+        assert len(pids) == 1 and os.getpid() not in pids
+
+    def test_runs_serially_while_other_threads_run(self, monkeypatch, shared_records, tmp_path):
+        force_pool(monkeypatch)
+        log_loads(monkeypatch, tmp_path / "loads")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, daemon=True)
+        thread.start()
+        try:
+            evaluate(shared_records, SwssParams())
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        pids, _ = logged_loads(tmp_path / "loads")
+        assert set(pids) == {os.getpid()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40),
+        st.integers(1, 12),
+    )
+    def test_tasks_partition_records_and_keep_shared_files_together(self, pairs, count):
+        records = [
+            harness.SegmentRecord("aa-en", "s", i, Path(f"{c}.json"), Path(f"{r}.json"), 0.0)
+            for i, (c, r) in enumerate(pairs)
+        ]
+        tasks = harness._tasks(records, count)
+        assert 1 <= len(tasks) <= count and all(tasks)
+        assert sorted(i for task in tasks for i in task) == list(range(len(records)))
+        assert all(task == sorted(set(task)) for task in tasks)
+        task_of = {i: n for n, task in enumerate(tasks) for i in task}
+        for i, j in itertools.combinations(range(len(records)), 2):
+            a, b = records[i], records[j]
+            if {a.candidate_ucca, a.reference_ucca} & {b.candidate_ucca, b.reference_ucca}:
+                assert task_of[i] == task_of[j]
+
+    def test_import_starts_no_process_machinery(self):
+        code = "import sys, swss; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parent.parent)}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
