@@ -44,6 +44,7 @@ class Mutation(NamedTuple):
 
 
 HARNESS = "src/swss/harness.py"
+FANOUT = "src/swss/_fanout.py"
 UCCA_GRAPH = "src/swss/ucca_graph.py"
 GRID_ORACLE = "tests/test_harness.py::TestGridSearchOracle"
 SHARED_FILES = "tests/test_harness.py::TestSharedFiles"
@@ -111,14 +112,14 @@ MUTATIONS = (
     ),
     Mutation(
         "pool-merge-in-arrival-order",
-        HARNESS,
+        FANOUT,
         "outcomes[i] = outcome",
         "outcomes[outcomes.index(None)] = outcome",
         (f"{WORKER_POOL}::test_first_error_in_record_order_wins", f"{WORKER_POOL}::test_matches_serial_run_and_oracle"),
     ),
     Mutation(
         "pool-partition-splits-shared-files",
-        HARNESS,
+        FANOUT,
         "            group[max(a, b)] = min(a, b)\n",
         "            pass\n",
         (
@@ -129,16 +130,43 @@ MUTATIONS = (
     Mutation(
         "pool-in-daemonic-worker",
         HARNESS,
-        "        or multiprocessing.current_process().daemon\n",
-        "",
+        "multiprocessing is not None and multiprocessing.current_process().daemon",
+        "False",
         (f"{WORKER_POOL}::test_runs_serially_in_a_daemonic_worker",),
     ),
     Mutation(
         "pool-forked-while-threads-run",
         HARNESS,
-        "        or threading.active_count() > 1\n",
-        "",
+        "threading.active_count() > 1",
+        "False",
         (f"{WORKER_POOL}::test_runs_serially_while_other_threads_run",),
+    ),
+    Mutation(
+        "fan-out-caller-skips-its-share",
+        FANOUT,
+        "shares = [_take_tasks(queue, tasks, records, *job)]",
+        "shares = [{}]",
+        (
+            f"{WORKER_POOL}::test_workers_score_and_load_each_file_once",
+            f"{WORKER_POOL}::test_features_are_kept_only_until_last_use",
+        ),
+    ),
+    Mutation(
+        "fan-out-child-outcomes-dropped",
+        FANOUT,
+        "shares.append(done)",
+        "pass",
+        (
+            f"{WORKER_POOL}::test_workers_score_and_load_each_file_once",
+            f"{WORKER_POOL}::test_matches_serial_run_and_oracle",
+        ),
+    ),
+    Mutation(
+        "fan-out-dead-child-unnoticed",
+        FANOUT,
+        "            if code:\n",
+        "            if False:\n",
+        (f"{WORKER_POOL}::test_dead_child_raises", f"{WORKER_POOL}::test_no_child_outlives_the_call"),
     ),
     Mutation(
         "features-ignore-include-remote",

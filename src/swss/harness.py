@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -297,108 +298,27 @@ def _outcomes(
         yield outcome
 
 
-# Below this many records, scoring stays in the calling process: starting
-# two workers costs some 25 ms, about the time they save on 200 records of
-# JSON graphs with a TSV base, the cheapest records to score (on 2 CPUs;
-# records of XML graphs break even near 100).
-_POOL_MIN_RECORDS = 200
-# Tasks per worker process, so that workers that finish early take more.
-_TASKS_PER_WORKER = 4
+# Below this many records, scoring stays in the calling process. A fork
+# costs about 0.5 ms and a child's round trip about 2 ms, but on 2 CPUs
+# records of JSON graphs with a TSV base, the cheapest to score, break
+# even only near 50 records; from 75 on, every kind measured gains.
+_FAN_OUT_MIN_RECORDS = 75
 
 
-def _pool_size(n_records: int) -> int:
-    """Worker processes to score ``n_records`` records with; 0 to score
-    them in this process."""
-    if n_records < _POOL_MIN_RECORDS or not hasattr(os, "sched_getaffinity"):
-        return 0
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2:
-        return 0
-    import multiprocessing
-    import threading
-
-    # Forked workers share the records without pickling them, but a fork
-    # is unsafe while other threads run; a daemonic process may not start
-    # children at all.
+def _processes(n_records: int) -> int:
+    """Processes to score ``n_records`` records with, this one included;
+    1 to score them in this process alone."""
+    if n_records < _FAN_OUT_MIN_RECORDS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    # A fork is unsafe while other threads run, and a daemonic
+    # multiprocessing worker may not start children.
+    multiprocessing = sys.modules.get("multiprocessing")
     if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or threading.active_count() > 1
-        or multiprocessing.current_process().daemon
+        threading.active_count() > 1
+        or multiprocessing is not None and multiprocessing.current_process().daemon
     ):
-        return 0
-    return cpus
-
-
-def _tasks(records: Sequence[SegmentRecord], count: int) -> list[list[int]]:
-    """Record indices in about ``count`` tasks, each in record order. The
-    records that name a common file share a task, so that each file is
-    loaded once in all."""
-    group = list(range(len(records)))  # union-find over record indices
-
-    def find(i: int) -> int:
-        while group[i] != i:
-            group[i] = group[group[i]]
-            i = group[i]
-        return i
-
-    first_use: dict[Path, int] = {}
-    for i, record in enumerate(records):
-        for path in (record.candidate_ucca, record.reference_ucca):
-            a, b = find(i), find(first_use.setdefault(path, i))
-            group[max(a, b)] = min(a, b)
-    members: dict[int, list[int]] = {}
-    for i in range(len(records)):
-        members.setdefault(find(i), []).append(i)
-    size = -(-len(records) // count)
-    tasks: list[list[int]] = [[]]
-    for indices in members.values():
-        if len(tasks[-1]) >= size:
-            tasks.append([])
-        tasks[-1].extend(indices)
-    return [sorted(task) for task in tasks]
-
-
-_worker_job: Optional[tuple] = None  # (records, params, base, lenient) in a worker process
-
-
-def _start_worker(job: tuple) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_task(indices: list[int]) -> tuple[list[int], list]:
-    from multiprocessing.pool import ExceptionWithTraceback
-
-    records, params, base, lenient = _worker_job
-    done = list(_outcomes([records[i] for i in indices], params, base, lenient))
-    if isinstance(done[-1], Exception) and not isinstance(done[-1], GraphError):
-        # Pickling drops the traceback: the caller gets the worker's
-        # frames as the exception's cause, as from any pool task.
-        done[-1] = ExceptionWithTraceback(done[-1], done[-1].__traceback__)
-    return indices, done
-
-
-def _pooled_outcomes(
-    records: Sequence[SegmentRecord],
-    params: SwssParams,
-    base: Union[str, ExternalScoreTable],
-    lenient: bool,
-    workers: int,
-) -> list:
-    """``_outcomes`` of every record, scored by ``workers`` forked
-    processes and put back at each record's index. Where a task stopped
-    early, the records after its exception have no outcome (None)."""
-    import multiprocessing
-
-    tasks = _tasks(records, workers * _TASKS_PER_WORKER)
-    outcomes: list = [None] * len(records)
-    job = (records, params, base, lenient)
-    # The job travels to the workers through the fork, not through a pipe.
-    with multiprocessing.get_context("fork").Pool(min(workers, len(tasks)), _start_worker, (job,)) as pool:
-        for indices, done in pool.imap_unordered(_run_task, tasks):
-            for i, outcome in zip(indices, done):
-                outcomes[i] = outcome
-    return outcomes
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _prepare_segments(
@@ -411,9 +331,11 @@ def _prepare_segments(
     the number of records skipped."""
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
-    workers = _pool_size(len(records))
-    if workers:
-        outcomes = _pooled_outcomes(records, params, base, not strict, workers)
+    processes = _processes(len(records))
+    if processes > 1:
+        from ._fanout import forked_outcomes  # only a run that fans out loads it
+
+        outcomes = forked_outcomes(records, params, base, not strict, processes)
     else:
         outcomes = _outcomes(records, params, base, not strict)
     rows: dict[str, list[tuple]] = {}

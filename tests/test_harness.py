@@ -3,13 +3,17 @@ import itertools
 import json
 import logging
 import multiprocessing
-import multiprocessing.pool
 import os
 import random
+import re
+import select
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -19,11 +23,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import evaluate_per_record, grid_search_per_record, reference_pearson
-from swss import harness
+from swss import _fanout, harness
 from swss.errors import DatasetError, GraphError
 from swss.harness import TuneGrid, evaluate, grid_search, load_dataset, pearson
 from swss.lexical import ExternalScoreTable, sentence_bleu
-from swss.scoring import SwssParams, swss
+from swss.scoring import SwssParams, score_from_features, swss
 from swss.synthetic import mutate_tokens, random_graph, write_synthetic_dataset
 from swss.ucca_graph import emit_json, load_graph
 
@@ -621,15 +625,24 @@ class TestSharedFiles:
         assert set(loads.values()) == {1}
 
     def test_features_are_kept_only_until_last_use(self, monkeypatch, shared_records, corrupt_shared_records, tmp_path):
-        check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, pooled=False)
+        check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path)
 
 
-def check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, pooled):
+def distinct_paths(records):
+    return {p for r in records for p in (r.candidate_ucca, r.reference_ucca)}
+
+
+def check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, fan_out=None):
     """Check, at every use of a file, that the feature cache holds exactly
-    the files loaded so far that a later record still names."""
+    the files loaded so far that a later record still names. With
+    ``fan_out``, the check runs in the caller and in a forked child, and
+    each distinct file must be loaded once in all."""
     # Every file of the synthetic corpus is single-use, so nothing may be kept there.
-    unique = load_dataset(write_synthetic_dataset(tmp_path, n_segments=6, seed=2))
+    unique = load_dataset(write_synthetic_dataset(tmp_path / "unique", n_segments=6, seed=2))
     cache_class = harness._FeatureCache
+    if fan_out:
+        fan_out()
+        log_loads(monkeypatch, tmp_path / "loads")
     for records in (shared_records, corrupt_shared_records, unique):
         later = Counter(p for r in records for p in (r.candidate_ucca, r.reference_ucca))
         loaded = set()
@@ -645,19 +658,81 @@ def check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shar
 
         monkeypatch.setattr(harness, "_FeatureCache", Checked)
         evaluate(records, SwssParams())
-        if pooled:
-            assert not loaded  # every check ran in a worker
+        if fan_out:
+            # A process checks only its own tasks, and no other task names
+            # their files; a failed check comes back as that record's error.
+            pids, paths = logged_loads(tmp_path / "loads")
+            (tmp_path / "loads").unlink()
+            assert len(pids) >= 2 and os.getpid() in pids
+            assert paths == Counter(map(str, distinct_paths(records)))
         else:
             # Every use was counted, also that of a reference whose candidate failed.
             assert set(later.values()) == {0}
 
 
-def force_pool(monkeypatch):
-    """Score with two forked workers, whatever the record and CPU counts."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("worker processes need the fork start method")
-    monkeypatch.setattr(harness, "_POOL_MIN_RECORDS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def force_fan_out(monkeypatch, processes=2):
+    """Score with ``processes`` processes, whatever the record and CPU counts."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the fan-out needs os.fork")
+    monkeypatch.setattr(harness, "_FAN_OUT_MIN_RECORDS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
+
+
+@pytest.fixture
+def fan_out(monkeypatch):
+    """``fan_out(processes=2, child=None, caller=None)`` forces the fan-out
+    and makes each process score at least one task: the caller's first
+    record waits until every child it forked has begun a record. Before
+    each record, ``child(n, record)`` runs in the n-th forked child (from 0)
+    and ``caller(record)`` in the caller. Returns the list of the pids that
+    ``os.fork`` returns; every child still running is killed at teardown."""
+    began_r, began_w = os.pipe()
+    pids = []
+
+    def configure(processes=2, child=None, caller=None):
+        force_fan_out(monkeypatch, processes)
+        parent, waiting, me = os.getpid(), [0], {}
+        real_fork, score = os.fork, harness._score_record
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+                waiting[0] += 1
+            else:
+                me["n"] = len(pids)
+            return pid
+
+        def scored(record, *args):
+            if os.getpid() == parent:
+                while waiting[0]:
+                    if not select.select([began_r], [], [], 10)[0]:
+                        raise AssertionError("a forked child began no record")
+                    waiting[0] -= len(os.read(began_r, waiting[0]))
+                if caller:
+                    caller(record)
+            else:
+                if not me.get("began"):
+                    me["began"] = True
+                    os.write(began_w, b"x")
+                if child:
+                    child(me["n"], record)
+            return score(record, *args)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(harness, "_score_record", scored)
+        return pids
+
+    yield configure
+    for pid in pids:
+        try:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+    os.close(began_r)
+    os.close(began_w)
 
 
 def log_loads(monkeypatch, log):
@@ -689,40 +764,58 @@ def evaluate_in_a_worker(records):
     return evaluate(records, SwssParams()).to_dict()
 
 
+def run_forced_fan_out(script, manifest):
+    """Run ``script`` in a fresh interpreter that forces a two-process
+    fan-out, with ``caller`` set to its pid and the manifest path as
+    ``sys.argv[1]``."""
+    setup = (
+        "import os, select, signal, sys\n"
+        "from swss import harness\n"
+        "from swss.harness import evaluate, load_dataset\n"
+        "from swss.scoring import SwssParams\n"
+        "harness._FAN_OUT_MIN_RECORDS = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "caller = os.getpid()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-c", setup + script, str(manifest)], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestWorkerPool:
-    """Records scored by forked workers, which a run starts for enough
-    records on more than one CPU, give the serial run's results, errors
-    and warnings."""
+    """Records scored by the calling process and forked children, which a
+    run starts for enough records on more than one CPU, give the serial
+    run's results, errors and warnings."""
 
     GRID = TestSharedFiles.GRID
 
-    def test_workers_score_and_load_each_file_once(self, monkeypatch, shared_records, tmp_path):
-        force_pool(monkeypatch)
+    def test_workers_score_and_load_each_file_once(self, monkeypatch, fan_out, shared_records, tmp_path):
+        fan_out()
         log_loads(monkeypatch, tmp_path / "loads")
         evaluate(shared_records, SwssParams())
         pids, paths = logged_loads(tmp_path / "loads")
-        assert pids and os.getpid() not in pids
-        assert paths == Counter(str(p) for p in {p for r in shared_records for p in (r.candidate_ucca, r.reference_ucca)})
+        assert len(pids) >= 2 and os.getpid() in pids
+        assert paths == Counter(map(str, distinct_paths(shared_records)))
 
-    def test_features_are_kept_only_until_last_use(self, monkeypatch, shared_records, corrupt_shared_records, tmp_path):
-        # A worker checks only its own tasks, and no other task names
-        # their files; a failed check comes back as that record's error.
-        force_pool(monkeypatch)
-        check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, pooled=True)
+    def test_features_are_kept_only_until_last_use(
+        self, monkeypatch, fan_out, shared_records, corrupt_shared_records, tmp_path
+    ):
+        check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, fan_out)
 
     @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records"])
     @pytest.mark.parametrize("table", [False, True], ids=["bleu", "tsv"])
-    def test_matches_serial_run_and_oracle(self, monkeypatch, request, fixture, table):
+    def test_matches_serial_run_and_oracle(self, fan_out, request, fixture, table):
         records = request.getfixturevalue(fixture)
         base = random_table(records) if table else "bleu"
         serial = harness._prepare_segments(records, SwssParams(), base, False)
-        force_pool(monkeypatch)
+        fan_out()
         assert harness._prepare_segments(records, SwssParams(), base, False) == serial
         for params in (SwssParams(), SwssParams(include_remote_critical_edges=True)):
             assert evaluate(records, params, base=base).to_dict() == evaluate_per_record(records, params, base)
         assert grid_search(records, self.GRID, base=base) == grid_search_per_record(records, self.GRID, base)
 
-    def test_strict_error_and_lenient_warnings_match_serial_run(self, monkeypatch, corrupt_shared_records, caplog):
+    def test_strict_error_and_lenient_warnings_match_serial_run(self, fan_out, corrupt_shared_records, caplog):
         records = corrupt_shared_records
 
         def run():
@@ -734,16 +827,17 @@ class TestWorkerPool:
 
         serial = run()
         assert len(serial[1]) == 5 and serial[0][0] is DatasetError
-        force_pool(monkeypatch)
+        fan_out()
         assert run() == serial
 
     @pytest.mark.parametrize(
         "fault, error",
         [("graph", DatasetError), ("tsv-row", DatasetError), ("deleted-file", FileNotFoundError)],
     )
-    def test_first_error_in_record_order_wins(self, monkeypatch, tmp_path, fault, error):
-        # Records 0 and 17 fail, in different tasks, and the task that
-        # holds record 0 is merged last.
+    def test_first_error_in_record_order_wins(self, monkeypatch, fan_out, tmp_path, fault, error):
+        # Records 0 and 17 fail, in different tasks. The task numbers are
+        # fed in reverse, so the task that holds record 0 is the last one
+        # taken, and its outcomes come after those of a later task.
         records = write_shared_corpus(tmp_path / "corpus")
         failing = (records[0], records[17])
         base, strict = "bleu", fault == "graph"
@@ -761,30 +855,109 @@ class TestWorkerPool:
         assert serial[0] is error
         assert "'sys0', segment 0" in serial[1] if fault == "tsv-row" else records[0].candidate_ucca.name in serial[1]
 
-        tasks = harness._tasks(records, 8)
+        tasks = _fanout.partition(records, 8)
         assert tasks[0][0] == 0 and 17 in tasks[-1]
-        imap_unordered = multiprocessing.pool.Pool.imap_unordered
+        partition = _fanout.partition
+        monkeypatch.setattr(_fanout, "partition", lambda records, count: partition(records, count)[::-1])
+        log = tmp_path / "scored"
 
-        def last_task_first(pool, function, iterable):
-            return sorted(imap_unordered(pool, function, iterable), key=lambda done: done[0], reverse=True)
+        def scoring(record):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {records.index(record)}\n")
 
-        force_pool(monkeypatch)
-        monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", last_task_first)
+        fan_out(child=lambda n, record: scoring(record), caller=scoring)
         assert result_or_error(evaluate, records, SwssParams(), base=base, strict=strict) == serial
+        order = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, index = map(int, line.split())
+            order.setdefault(pid, []).append(index)
+        assert len(order) == 2
+        (scored_0,) = (indices for indices in order.values() if 0 in indices)
+        # That process scored another task first, and record 0's task last.
+        assert scored_0[0] != 0 and set(scored_0[scored_0.index(0):]) <= set(tasks[0])
 
-    def test_worker_traceback_is_the_cause_of_an_unexpected_error(self, monkeypatch, shared_records):
+    def test_worker_traceback_is_the_cause_of_an_unexpected_error(self, monkeypatch, fan_out, shared_records):
+        caller = os.getpid()
+        fan_out()
+        for in_child in (True, False):
+
+            def broken(candidate, reference, params):
+                if (os.getpid() != caller) == in_child:
+                    raise TypeError("boom")
+                return score_from_features(candidate, reference, params)
+
+            monkeypatch.setattr(harness, "score_from_features", broken)
+            with pytest.raises(TypeError, match="^boom$") as info:
+                evaluate(shared_records, SwssParams())
+            own = "".join(traceback.format_tb(info.value.__traceback__))
+            if in_child:
+                # The child's frames come as the cause, as text.
+                assert "in _score_record" in str(info.value.__cause__) and "in _score_record" not in own
+            else:
+                assert info.value.__cause__ is None and "in _score_record" in own
+
+    def test_exception_a_child_cannot_send_comes_as_its_repr(self, monkeypatch, fan_out, shared_records):
+        caller = os.getpid()
+
         def broken(candidate, reference, params):
-            raise TypeError("boom")
+            if os.getpid() != caller:
+                raise TypeError(threading.Lock())  # a lock cannot be pickled
+            return score_from_features(candidate, reference, params)
 
+        fan_out()
         monkeypatch.setattr(harness, "score_from_features", broken)
-        force_pool(monkeypatch)
-        with pytest.raises(TypeError, match="^boom$") as info:
+        with pytest.raises(RuntimeError, match=r"could not send: TypeError\(<unlocked _thread.lock object") as info:
             evaluate(shared_records, SwssParams())
         assert "in _score_record" in str(info.value.__cause__)
 
+    @pytest.mark.parametrize(
+        "death, message",
+        [("os._exit(3)", "exited with code 3"), ("os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9")],
+        ids=["exit", "signal"],
+    )
+    def test_dead_child_raises(self, tmp_path, death, message):
+        # The caller's first record waits until the child has begun one.
+        script = (
+            "began, begin = os.pipe()\n"
+            "score = harness._score_record\n"
+            "def scored(record, *args):\n"
+            "    if os.getpid() != caller:\n"
+            "        os.write(begin, b'x')\n"
+            f"        {death}\n"
+            "    select.select([began], [], [], 10)\n"
+            "    return score(record, *args)\n"
+            "harness._score_record = scored\n"
+            "evaluate(load_dataset(sys.argv[1]), SwssParams())\n"
+        )
+        result = run_forced_fan_out(script, write_synthetic_dataset(tmp_path, n_segments=12, seed=4))
+        assert result.returncode == 1
+        last = result.stderr.strip().splitlines()[-1]
+        assert re.fullmatch(rf"RuntimeError: worker process \d+ {message} before it sent its outcomes", last)
+
+    @pytest.mark.parametrize("where", ["caller", "merge"])
+    def test_no_child_outlives_the_call(self, fan_out, shared_records, where):
+        def child(n, record):
+            if where == "merge" and n == 0:
+                os._exit(3)
+            time.sleep(60)
+
+        def caller(record):
+            if where == "caller":
+                raise KeyboardInterrupt
+
+        pids = fan_out(processes=2 if where == "caller" else 3, child=child, caller=caller)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt if where == "caller" else RuntimeError):
+            evaluate(shared_records, SwssParams())
+        assert time.monotonic() - started < 30
+        assert len(pids) == (1 if where == "caller" else 2)
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
     def test_runs_serially_in_a_daemonic_worker(self, monkeypatch, shared_records, tmp_path):
         expected = evaluate(shared_records, SwssParams()).to_dict()
-        force_pool(monkeypatch)
+        force_fan_out(monkeypatch)
         log_loads(monkeypatch, tmp_path / "loads")
         with multiprocessing.get_context("fork").Pool(1) as outer:
             assert outer.apply(evaluate_in_a_worker, (shared_records,)) == expected
@@ -792,7 +965,7 @@ class TestWorkerPool:
         assert len(pids) == 1 and os.getpid() not in pids
 
     def test_runs_serially_while_other_threads_run(self, monkeypatch, shared_records, tmp_path):
-        force_pool(monkeypatch)
+        force_fan_out(monkeypatch)
         log_loads(monkeypatch, tmp_path / "loads")
         release = threading.Event()
         thread = threading.Thread(target=release.wait, daemon=True)
@@ -816,7 +989,7 @@ class TestWorkerPool:
             harness.SegmentRecord("aa-en", "s", i, Path(f"{c}.json"), Path(f"{r}.json"), 0.0)
             for i, (c, r) in enumerate(pairs)
         ]
-        tasks = harness._tasks(records, count)
+        tasks = _fanout.partition(records, count)
         assert 1 <= len(tasks) <= count and all(tasks)
         assert sorted(i for task in tasks for i in task) == list(range(len(records)))
         assert all(task == sorted(set(task)) for task in tasks)
@@ -826,8 +999,21 @@ class TestWorkerPool:
             if {a.candidate_ucca, a.reference_ucca} & {b.candidate_ucca, b.reference_ucca}:
                 assert task_of[i] == task_of[j]
 
-    def test_import_starts_no_process_machinery(self):
-        code = "import sys, swss; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    def test_import_starts_no_process_machinery(self, tmp_path):
+        code = (
+            "import sys, swss\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'swss._fanout'} & set(sys.modules)))"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parent.parent)}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+        # Nor does a run that forks a child.
+        script = (
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+            "evaluate(load_dataset(sys.argv[1]), SwssParams())\n"
+            "print(len(forks), sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        result = run_forced_fan_out(script, write_synthetic_dataset(tmp_path, n_segments=12, seed=4))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1 []"
