@@ -49,6 +49,11 @@ UCCA_GRAPH = "src/swss/ucca_graph.py"
 GRID_ORACLE = "tests/test_harness.py::TestGridSearchOracle"
 SHARED_FILES = "tests/test_harness.py::TestSharedFiles"
 WORKER_POOL = "tests/test_harness.py::TestWorkerPool"
+SPLIT_SCREEN = "tests/test_harness.py::TestSplitScreen"
+# The caller's merge of one child's results: both phases depend on it.
+CHILD_RESULTS_MERGED = (
+    '            done.update(marshal.loads(memoryview(data)[1:]) if data[:1] == b"m" else _unpickled(data[1:]))\n'
+)
 VALIDATOR_ORACLE = "tests/test_ucca_graph.py::TestValidation::test_agrees_with_reference_validator"
 XML_ORACLE = "tests/test_ucca_graph.py::TestXmlReference::test_agrees_with_reference_parser"
 
@@ -113,8 +118,8 @@ MUTATIONS = (
     Mutation(
         "pool-merge-in-arrival-order",
         FANOUT,
-        "outcomes[i] = outcome",
-        "outcomes[outcomes.index(None)] = outcome",
+        "outcomes[i] = GraphError(outcome)",
+        "outcomes[outcomes.index(None)] = GraphError(outcome)",
         (f"{WORKER_POOL}::test_first_error_in_record_order_wins", f"{WORKER_POOL}::test_matches_serial_run_and_oracle"),
     ),
     Mutation(
@@ -144,8 +149,8 @@ MUTATIONS = (
     Mutation(
         "fan-out-caller-skips-its-share",
         FANOUT,
-        "shares = [_take_tasks(queue, tasks, records, *job)]",
-        "shares = [{}]",
+        "            done = _take_tasks(queue, run)\n",
+        "            done = {}\n",
         (
             f"{WORKER_POOL}::test_workers_score_and_load_each_file_once",
             f"{WORKER_POOL}::test_features_are_kept_only_until_last_use",
@@ -154,12 +159,40 @@ MUTATIONS = (
     Mutation(
         "fan-out-child-outcomes-dropped",
         FANOUT,
-        "shares.append(done)",
-        "pass",
+        CHILD_RESULTS_MERGED,
+        "            pass\n",
         (
             f"{WORKER_POOL}::test_workers_score_and_load_each_file_once",
             f"{WORKER_POOL}::test_matches_serial_run_and_oracle",
         ),
+    ),
+    Mutation(
+        "fan-out-fork-error-raised",
+        FANOUT,
+        "        except OSError as exc:\n",
+        "        except OSError as exc:\n            raise\n",
+        (f"{WORKER_POOL}::test_failed_fork_gives_fewer_processes",),
+    ),
+    Mutation(
+        "screen-child-results-dropped",
+        FANOUT,
+        CHILD_RESULTS_MERGED,
+        "            pass\n",
+        (f"{SPLIT_SCREEN}::test_matches_serial_screen",),
+    ),
+    Mutation(
+        "screen-task-filtered-by-its-own-lower-bound",
+        FANOUT,
+        "for _, candidates in results for upper, vector in candidates if upper >= lower]",
+        "for task_lower, candidates in results for upper, vector in candidates if upper >= task_lower]",
+        (f"{SPLIT_SCREEN}::test_matches_serial_screen", f"{SPLIT_SCREEN}::test_rechecks_as_many_points_as_serial_screen"),
+    ),
+    Mutation(
+        "screen-tasks-joined-out-of-order",
+        FANOUT,
+        "for _, candidates in results for upper",
+        "for _, candidates in results[::-1] for upper",
+        (f"{SPLIT_SCREEN}::test_matches_serial_screen",),
     ),
     Mutation(
         "fan-out-dead-child-unnoticed",
@@ -167,6 +200,13 @@ MUTATIONS = (
         "            if code:\n",
         "            if False:\n",
         (f"{WORKER_POOL}::test_dead_child_raises", f"{WORKER_POOL}::test_no_child_outlives_the_call"),
+    ),
+    Mutation(
+        "stem-memo-unbounded",
+        "src/swss/porter.py",
+        "    if len(_memo) < _MEMO_SIZE:\n",
+        "    if True:\n",
+        ("tests/test_porter.py::test_memo_is_bounded_and_keeps_what_the_steps_give",),
     ),
     Mutation(
         "features-ignore-include-remote",

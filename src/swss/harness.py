@@ -7,7 +7,6 @@ Metric quality is the segment-level Pearson correlation against the human
 scores within each language pair, averaged with equal weight per pair.
 """
 
-import itertools
 import json
 import logging
 import math
@@ -286,16 +285,11 @@ def _score_record(
 def _outcomes(
     records: Sequence[SegmentRecord], params: SwssParams, base: Union[str, ExternalScoreTable], lenient: bool
 ):
-    """Yield each record's ``_score_record`` outcome in order. An
-    exception ends the run: it is yielded as that record's outcome."""
+    """Yield each record's ``_score_record`` outcome in order; an
+    unexpected exception propagates at its record."""
     features = _FeatureCache(records, lenient)
     for record in records:
-        try:
-            outcome = _score_record(record, features, params, base)
-        except Exception as exc:
-            yield exc
-            return
-        yield outcome
+        yield _score_record(record, features, params, base)
 
 
 # Below this many records, scoring stays in the calling process. A fork
@@ -303,12 +297,17 @@ def _outcomes(
 # records of JSON graphs with a TSV base, the cheapest to score, break
 # even only near 50 records; from 75 on, every kind measured gains.
 _FAN_OUT_MIN_RECORDS = 75
+# Below this many alpha tuples times segments, the grid screen stays in
+# the calling process. The sweep costs about 0.5 us per unit and a fork
+# round about 2.5 ms; on 2 CPUs the split screen breaks even at 40,000 to
+# 50,000 units.
+_FAN_OUT_MIN_SCREEN_WORK = 50_000
 
 
-def _processes(n_records: int) -> int:
-    """Processes to score ``n_records`` records with, this one included;
-    1 to score them in this process alone."""
-    if n_records < _FAN_OUT_MIN_RECORDS or not hasattr(os, "sched_getaffinity"):
+def _processes(work: int, minimum: int) -> int:
+    """Processes to do ``work`` units with, this one included: 1, to do
+    them in this process alone, below ``minimum`` units."""
+    if work < minimum or not hasattr(os, "sched_getaffinity"):
         return 1
     # A fork is unsafe while other threads run, and a daemonic
     # multiprocessing worker may not start children.
@@ -331,7 +330,7 @@ def _prepare_segments(
     the number of records skipped."""
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
-    processes = _processes(len(records))
+    processes = _processes(len(records), _FAN_OUT_MIN_RECORDS)
     if processes > 1:
         from ._fanout import forked_outcomes  # only a run that fans out loads it
 
@@ -489,7 +488,10 @@ _ROUNDING = 64 * sys.float_info.epsilon
 class _PairSums:
     # Centred columns and the sums of one language pair that do not
     # depend on the alphas: b is the base, h the human score, u the
-    # fallback flag; bh is sum(db * dh) and so on.
+    # fallback flag; bh is sum(db * dh) and so on. tables holds, for
+    # each alpha level, every (alpha, its penalty factor per segment).
+    f1: list
+    tables: list
     dh: list
     db: list
     du: list
@@ -551,33 +553,45 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
     beta*omega*u``, where s is the penalized F1 (0 on fallback segments)
     and u the fallback flag, so every Pearson r follows from a few sums.
     """
-    points = itertools.product(
-        grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4, grid.beta, grid.omega
-    )
+    alphas = (grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4)
     pairs: list[_PairSums] = []
-    sweeps = []
     for pair in columns.values():
         if len(pair.human) < 2 or max(pair.human) == min(pair.human):
             # Pearson raises at every point, so the first one tells how.
-            return [next(points)]
+            return [(grid.alpha1[0], grid.alpha2[0], grid.alpha3[0], grid.alpha4[0], grid.beta[0], grid.omega[0])]
         dh = _scaled(_centred(pair.human))
         db = _centred(pair.base)
         du = _centred(pair.fallback)
-        pairs.append(
-            _PairSums(
-                dh=dh, db=db, du=du, hh=math.fsum(d * d for d in dh), bh=_dot(db, dh), uh=_dot(du, dh),
-                bb=_dot(db, db), uu=_dot(du, du), bu=_dot(db, du), top_base=max(map(abs, pair.base)),
-            )
-        )
         tables = [
             [(alpha, [math.exp(-alpha * p) for p in column]) for alpha in values]
-            for values, column in zip(
-                (grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4),
-                (pair.p_scene, pair.p_node, pair.p_edge, pair.len_penalty),
-            )
+            for values, column in zip(alphas, (pair.p_scene, pair.p_node, pair.p_edge, pair.len_penalty))
         ]
-        sweeps.append(_alpha_sweep(pair.f1, tables))
+        pairs.append(
+            _PairSums(
+                f1=pair.f1, tables=tables, dh=dh, db=db, du=du, hh=math.fsum(d * d for d in dh), bh=_dot(db, dh),
+                uh=_dot(du, dh), bb=_dot(db, db), uu=_dot(du, du), bu=_dot(db, du), top_base=max(map(abs, pair.base)),
+            )
+        )
+    processes = _processes(
+        math.prod(map(len, alphas)) * sum(len(pair.dh) for pair in pairs), _FAN_OUT_MIN_SCREEN_WORK
+    )
+    if processes > 1:
+        from ._fanout import forked_screen  # only a run that fans out loads it
 
+        return forked_screen(pairs, grid, processes)
+    lower, candidates = _screen_sweep(pairs, grid)
+    return [vector for upper, vector in candidates if upper >= lower]
+
+
+def _screen_sweep(pairs: list[_PairSums], grid: "TuneGrid", prefix: tuple = ()) -> tuple[float, list]:
+    """The best lower bound on the exact objective of the grid points whose
+    alpha indices lie in the slices ``prefix`` (one per leading alpha
+    level), and, in lexicographic order, ``(upper bound, vector)`` of
+    those points that may reach it."""
+    sweeps = [
+        _alpha_sweep(pair.f1, [level[part] for level, part in zip(pair.tables, prefix)] + pair.tables[len(prefix):])
+        for pair in pairs
+    ]
     lower = -math.inf  # the best lower bound on any point's exact objective
     candidates: list[tuple[float, tuple]] = []
     prune_at = 64
@@ -602,7 +616,7 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
         if len(candidates) > prune_at:
             candidates = [c for c in candidates if c[0] >= lower]
             prune_at = 2 * len(candidates) + 64
-    return [vector for upper, vector in candidates if upper >= lower]
+    return lower, candidates
 
 
 def grid_search(

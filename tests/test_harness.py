@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import itertools
 import json
 import logging
+import math
 import multiprocessing
 import os
 import random
@@ -452,37 +454,45 @@ def outcome(function, *args, **kwargs):
         return str(exc)
 
 
+# Corpora and grids on which the grid search must match the oracle.
+ORACLE_CASES = dict(
+    n_segments=st.integers(2, 10),
+    two_pairs=st.booleans(),
+    noise=st.sampled_from([0.0, 0.05]),
+    self_pairs=st.booleans(),
+    constant_base=st.sampled_from([None, 0.25, 0.3]),
+    seed=st.integers(0, 10_000),
+    grid=st.builds(
+        TuneGrid,
+        alpha1=axis([0.0, 0.1, 1.0]),
+        alpha2=axis([0.0, 0.5, 2.0]),
+        alpha3=axis([0.0, 0.2, 1.0]),
+        alpha4=axis([0.0, 0.01, 0.5]),
+        beta=axis([0.0, 0.2, 1.0]),
+        omega=axis([0.0, 0.5, 1.0]),
+    ),
+)
+
+
+def oracle_case(tmp, n_segments, two_pairs, noise, self_pairs, constant_base, seed):
+    """The records and base of one ``ORACLE_CASES`` draw, written to ``tmp``."""
+    lang_pairs = ("aa-en", "bb-en") if two_pairs else ("aa-en",)
+    records = load_dataset(write_synthetic_dataset(tmp, n_segments, lang_pairs=lang_pairs, seed=seed, noise=noise))
+    if self_pairs:
+        # Every ratio penalty is 0, so alpha1..alpha3 tie exactly.
+        records = [dataclasses.replace(r, candidate_ucca=r.reference_ucca) for r in records]
+    return records, "bleu" if constant_base is None else constant_table(records, constant_base)
+
+
 class TestGridSearchOracle:
     """The closed-form screen plus exact re-check must reproduce the
     exhaustive per-point search bit for bit, errors included."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        n_segments=st.integers(2, 10),
-        two_pairs=st.booleans(),
-        noise=st.sampled_from([0.0, 0.05]),
-        self_pairs=st.booleans(),
-        constant_base=st.sampled_from([None, 0.25, 0.3]),
-        seed=st.integers(0, 10_000),
-        grid=st.builds(
-            TuneGrid,
-            alpha1=axis([0.0, 0.1, 1.0]),
-            alpha2=axis([0.0, 0.5, 2.0]),
-            alpha3=axis([0.0, 0.2, 1.0]),
-            alpha4=axis([0.0, 0.01, 0.5]),
-            beta=axis([0.0, 0.2, 1.0]),
-            omega=axis([0.0, 0.5, 1.0]),
-        ),
-    )
+    @given(**ORACLE_CASES)
     def test_matches_bruteforce(self, n_segments, two_pairs, noise, self_pairs, constant_base, seed, grid):
-        lang_pairs = ("aa-en", "bb-en") if two_pairs else ("aa-en",)
         with tempfile.TemporaryDirectory() as tmp:
-            manifest = write_synthetic_dataset(tmp, n_segments, lang_pairs=lang_pairs, seed=seed, noise=noise)
-            records = load_dataset(manifest)
-            if self_pairs:
-                # Every ratio penalty is 0, so alpha1..alpha3 tie exactly.
-                records = [dataclasses.replace(r, candidate_ucca=r.reference_ucca) for r in records]
-            base = "bleu" if constant_base is None else constant_table(records, constant_base)
+            records, base = oracle_case(tmp, n_segments, two_pairs, noise, self_pairs, constant_base, seed)
             expected = outcome(grid_search_per_record, records, grid, base)
             got = outcome(grid_search, records, grid, base)
             assert got == expected
@@ -670,29 +680,42 @@ def check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shar
             assert set(later.values()) == {0}
 
 
-def force_fan_out(monkeypatch, processes=2):
-    """Score with ``processes`` processes, whatever the record and CPU counts."""
+# The two phases that fan out: record scoring and the grid screen.
+PHASES = ("score", "screen")
+# What each phase runs per record or per grid point.
+STEP_OF_PHASE = {"score": "_score_record", "screen": "_estimate"}
+
+
+def force_fan_out(monkeypatch, processes=2, phases=PHASES):
+    """Run each of ``phases`` with ``processes`` processes, whatever the
+    record, grid and CPU counts."""
     if not hasattr(os, "fork"):
         pytest.skip("the fan-out needs os.fork")
-    monkeypatch.setattr(harness, "_FAN_OUT_MIN_RECORDS", 1)
+    if "score" in phases:
+        monkeypatch.setattr(harness, "_FAN_OUT_MIN_RECORDS", 1)
+    if "screen" in phases:
+        monkeypatch.setattr(harness, "_FAN_OUT_MIN_SCREEN_WORK", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
 
 
 @pytest.fixture
 def fan_out(monkeypatch):
-    """``fan_out(processes=2, child=None, caller=None)`` forces the fan-out
-    and makes each process score at least one task: the caller's first
-    record waits until every child it forked has begun a record. Before
-    each record, ``child(n, record)`` runs in the n-th forked child (from 0)
-    and ``caller(record)`` in the caller. Returns the list of the pids that
-    ``os.fork`` returns; every child still running is killed at teardown."""
+    """``fan_out(processes=2, child=None, caller=None, phase="score")``
+    forces the fan-out of ``phase`` alone and makes each process run at
+    least one task: the caller's first task waits until every child it
+    forked has begun one. Before each step of the phase (a record, or a
+    grid point of the screen), ``child(n, step)`` runs in the n-th forked
+    child (from 0) and ``caller(step)`` in the caller. Returns the list of
+    the pids that ``os.fork`` returns; every child still running is
+    killed at teardown."""
     began_r, began_w = os.pipe()
     pids = []
 
-    def configure(processes=2, child=None, caller=None):
-        force_fan_out(monkeypatch, processes)
+    def configure(processes=2, child=None, caller=None, phase="score"):
+        force_fan_out(monkeypatch, processes, (phase,))
         parent, waiting, me = os.getpid(), [0], {}
-        real_fork, score = os.fork, harness._score_record
+        real_fork, run_task = os.fork, _fanout._task_results
+        step = getattr(harness, STEP_OF_PHASE[phase])
 
         def fork():
             pid = real_fork()
@@ -703,24 +726,28 @@ def fan_out(monkeypatch):
                 me["n"] = len(pids)
             return pid
 
-        def scored(record, *args):
+        def task_results(run, n):
             if os.getpid() == parent:
                 while waiting[0]:
                     if not select.select([began_r], [], [], 10)[0]:
-                        raise AssertionError("a forked child began no record")
+                        raise AssertionError("a forked child began no task")
                     waiting[0] -= len(os.read(began_r, waiting[0]))
+            elif not me.get("began"):
+                me["began"] = True
+                os.write(began_w, b"x")
+            return run_task(run, n)
+
+        def stepped(first, *args):
+            if os.getpid() == parent:
                 if caller:
-                    caller(record)
-            else:
-                if not me.get("began"):
-                    me["began"] = True
-                    os.write(began_w, b"x")
-                if child:
-                    child(me["n"], record)
-            return score(record, *args)
+                    caller(first)
+            elif child:
+                child(me["n"], first)
+            return step(first, *args)
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(harness, "_score_record", scored)
+        monkeypatch.setattr(_fanout, "_task_results", task_results)
+        monkeypatch.setattr(harness, STEP_OF_PHASE[phase], stepped)
         return pids
 
     yield configure
@@ -764,17 +791,28 @@ def evaluate_in_a_worker(records):
     return evaluate(records, SwssParams()).to_dict()
 
 
+def run_phase(phase, records):
+    """The output of a run that reaches ``phase``: the evaluate report to
+    score, or the tuned parameters and objective to screen."""
+    if phase == "score":
+        return evaluate(records, SwssParams()).to_dict()
+    return grid_search(records, TestSharedFiles.GRID)
+
+
 def run_forced_fan_out(script, manifest):
     """Run ``script`` in a fresh interpreter that forces a two-process
-    fan-out, with ``caller`` set to its pid and the manifest path as
-    ``sys.argv[1]``."""
+    fan-out of both phases, with ``caller`` set to its pid, ``GRID`` to a
+    small grid and the manifest path as ``sys.argv[1]``."""
     setup = (
         "import os, select, signal, sys\n"
         "from swss import harness\n"
         "from swss.harness import evaluate, load_dataset\n"
         "from swss.scoring import SwssParams\n"
+        "from swss.harness import TuneGrid, grid_search\n"
         "harness._FAN_OUT_MIN_RECORDS = 1\n"
+        "harness._FAN_OUT_MIN_SCREEN_WORK = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "GRID = TuneGrid(alpha1=(0.0, 0.5), alpha2=(0.0, 1.0), beta=(0.1, 0.5))\n"
         "caller = os.getpid()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parent.parent)}
@@ -896,59 +934,66 @@ class TestWorkerPool:
             else:
                 assert info.value.__cause__ is None and "in _score_record" in own
 
-    def test_exception_a_child_cannot_send_comes_as_its_repr(self, monkeypatch, fan_out, shared_records):
-        caller = os.getpid()
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_exception_a_child_cannot_send_comes_as_its_repr(self, monkeypatch, fan_out, shared_records, phase):
+        def child(n, step):
+            raise TypeError(threading.Lock())  # a lock cannot be pickled
 
-        def broken(candidate, reference, params):
-            if os.getpid() != caller:
-                raise TypeError(threading.Lock())  # a lock cannot be pickled
-            return score_from_features(candidate, reference, params)
-
-        fan_out()
-        monkeypatch.setattr(harness, "score_from_features", broken)
+        fan_out(child=child, phase=phase)
         with pytest.raises(RuntimeError, match=r"could not send: TypeError\(<unlocked _thread.lock object") as info:
-            evaluate(shared_records, SwssParams())
-        assert "in _score_record" in str(info.value.__cause__)
+            run_phase(phase, shared_records)
+        # The child's frames come as the cause, as text.
+        assert "in child" in str(info.value.__cause__)
 
     @pytest.mark.parametrize(
-        "death, message",
-        [("os._exit(3)", "exited with code 3"), ("os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9")],
-        ids=["exit", "signal"],
+        "phase, death, message",
+        [
+            ("score", "os._exit(3)", "exited with code 3"),
+            ("score", "os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9"),
+            ("screen", "os._exit(3)", "exited with code 3"),
+            ("screen", "os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9"),
+        ],
+        ids=["exit", "signal", "screen-exit", "screen-signal"],
     )
-    def test_dead_child_raises(self, tmp_path, death, message):
-        # The caller's first record waits until the child has begun one.
+    def test_dead_child_raises(self, tmp_path, phase, death, message):
+        # The child dies at its first step of the phase, and the caller's
+        # first step waits until it has begun one.
+        step = STEP_OF_PHASE[phase]
         script = (
             "began, begin = os.pipe()\n"
-            "score = harness._score_record\n"
-            "def scored(record, *args):\n"
+            f"step = harness.{step}\n"
+            "def stepped(*args):\n"
             "    if os.getpid() != caller:\n"
             "        os.write(begin, b'x')\n"
             f"        {death}\n"
             "    select.select([began], [], [], 10)\n"
-            "    return score(record, *args)\n"
-            "harness._score_record = scored\n"
-            "evaluate(load_dataset(sys.argv[1]), SwssParams())\n"
+            "    return step(*args)\n"
+            f"harness.{step} = stepped\n"
+            "grid_search(load_dataset(sys.argv[1]), GRID)\n"
         )
         result = run_forced_fan_out(script, write_synthetic_dataset(tmp_path, n_segments=12, seed=4))
         assert result.returncode == 1
         last = result.stderr.strip().splitlines()[-1]
-        assert re.fullmatch(rf"RuntimeError: worker process \d+ {message} before it sent its outcomes", last)
+        assert re.fullmatch(rf"RuntimeError: worker process \d+ {message} before it sent its results", last)
 
-    @pytest.mark.parametrize("where", ["caller", "merge"])
-    def test_no_child_outlives_the_call(self, fan_out, shared_records, where):
-        def child(n, record):
+    @pytest.mark.parametrize(
+        "phase, where", [("score", "caller"), ("score", "merge"), ("screen", "caller"), ("screen", "merge")],
+        ids=["caller", "merge", "screen-caller", "screen-merge"],
+    )
+    def test_no_child_outlives_the_call(self, fan_out, shared_records, phase, where):
+        def child(n, step):
             if where == "merge" and n == 0:
                 os._exit(3)
             time.sleep(60)
 
-        def caller(record):
+        def caller(step):
             if where == "caller":
                 raise KeyboardInterrupt
 
-        pids = fan_out(processes=2 if where == "caller" else 3, child=child, caller=caller)
+        pids = fan_out(processes=2 if where == "caller" else 3, child=child, caller=caller, phase=phase)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt if where == "caller" else RuntimeError):
-            evaluate(shared_records, SwssParams())
+            run_phase(phase, shared_records)
         assert time.monotonic() - started < 30
         assert len(pids) == (1 if where == "caller" else 2)
         for pid in pids:
@@ -1002,18 +1047,131 @@ class TestWorkerPool:
     def test_import_starts_no_process_machinery(self, tmp_path):
         code = (
             "import sys, swss\n"
-            "print(sorted({'multiprocessing', 'concurrent.futures', 'swss._fanout'} & set(sys.modules)))"
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'pickle', 'swss._fanout'} & set(sys.modules)))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parent.parent)}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
-        # Nor does a run that forks a child.
+        # Nor does a run that forks children, to score or to screen; the
+        # results come back without pickle.
         script = (
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
-            "evaluate(load_dataset(sys.argv[1]), SwssParams())\n"
-            "print(len(forks), sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+            "records = load_dataset(sys.argv[1])\n"
+            "evaluate(records, SwssParams())\n"
+            "grid_search(records, GRID)\n"
+            "print(len(forks), sorted({'multiprocessing', 'concurrent.futures', 'pickle'} & set(sys.modules)))\n"
         )
         result = run_forced_fan_out(script, write_synthetic_dataset(tmp_path, n_segments=12, seed=4))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "1 []"
+        assert result.stdout.strip() == "3 []"
+
+    @pytest.mark.parametrize("phase", PHASES)
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_failed_fork_gives_fewer_processes(self, monkeypatch, shared_records, caplog, phase, call, k):
+        serial = run_phase(phase, shared_records)
+        force_fan_out(monkeypatch, 3, (phase,))
+        calls, pids = [], []
+        real_fork, real_pipe = os.fork, os.pipe
+
+        def fork():
+            calls.append("fork")
+            if call == "fork" and calls.count("fork") == k:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        def pipe():
+            calls.append("pipe")
+            if call == "pipe" and calls.count("pipe") == k:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_pipe()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "pipe", pipe)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        with caplog.at_level(logging.WARNING):
+            assert run_phase(phase, shared_records) == serial
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert len(pids) == (1 if (call, k) == ("fork", 2) else 0)
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warning.startswith("could not start a worker process ([Errno")
+        assert warning.endswith(f"running with {len(pids) + 1} process(es)")
+
+
+class TestSplitScreen:
+    """The grid screen, split into tasks over forked processes, gives the
+    serial screen's candidates in the serial order, and so the same
+    search."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**ORACLE_CASES, processes=st.integers(2, 4))
+    @example(  # one alpha1 value
+        n_segments=8, two_pairs=True, noise=0.05, self_pairs=False, constant_base=None, seed=1, processes=3,
+        grid=TuneGrid(alpha1=(0.1,), alpha2=(0.0, 0.5, 2.0), alpha3=(0.0, 1.0), alpha4=(0.0, 0.5), beta=(0.2, 1.0)),
+    )
+    @example(  # self-pair ties
+        n_segments=6, two_pairs=False, noise=0.0, self_pairs=True, constant_base=None, seed=2, processes=2,
+        grid=TuneGrid(alpha1=(0.0, 1.0), alpha2=(0.0, 2.0), alpha3=(0.0, 0.2), alpha4=(0.0,), beta=(0.2,)),
+    )
+    @example(  # a constant base at beta = 0: nan estimates, re-checked
+        n_segments=8, two_pairs=True, noise=0.05, self_pairs=False, constant_base=0.25, seed=3, processes=2,
+        grid=TuneGrid(alpha1=(0.0, 0.1), alpha2=(0.0,), alpha3=(0.0, 1.0), alpha4=(0.0,), beta=(0.0, 0.2)),
+    )
+    @example(  # more processes than tasks
+        n_segments=8, two_pairs=False, noise=0.05, self_pairs=False, constant_base=None, seed=4, processes=4,
+        grid=TuneGrid(alpha1=(0.1,), alpha2=(0.5,), alpha3=(0.2,), alpha4=(0.0, 0.5), beta=(0.2, 1.0)),
+    )
+    def test_matches_serial_screen(
+        self, n_segments, two_pairs, noise, self_pairs, constant_base, seed, grid, processes
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            records, base = oracle_case(tmp, n_segments, two_pairs, noise, self_pairs, constant_base, seed)
+            columns, _ = harness._prepare_segments(records, SwssParams(), base, False)
+            serial = harness._screen(columns, grid)
+            expected = outcome(grid_search_per_record, records, grid, base)
+            counts = []
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                force_fan_out(monkeypatch, processes, ("screen",))
+                run_tasks = _fanout.forked_results
+                monkeypatch.setattr(
+                    _fanout, "forked_results", lambda run, count, n: counts.append(count) or run_tasks(run, count, n)
+                )
+                assert harness._screen(columns, grid) == serial
+                assert outcome(grid_search, records, grid, base) == expected
+            # A pair with fewer than two distinct human scores raises at
+            # every point, and the screen returns the first one unswept.
+            assert bool(counts) != any(len(set(pair.human)) < 2 for pair in columns.values())
+
+    def test_rechecks_as_many_points_as_serial_screen(self, monkeypatch, records, caplog):
+        grid = TuneGrid(
+            alpha1=(0.0, 0.1, 1.0), alpha2=(0.0, 0.5), alpha3=(0.0, 0.2), alpha4=(0.0, 0.5), beta=(0.1, 0.2, 1.0)
+        )
+
+        def search():
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="swss.harness"):
+                found = grid_search(records, grid)
+            return found, [r.getMessage() for r in caplog.records]
+
+        serial = search()
+        assert re.search(r"\(\d+ of 360 points re-checked\)$", serial[1][-1])
+        force_fan_out(monkeypatch, 2, ("screen",))
+        assert search() == serial
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=4, max_size=4), st.integers(1, 64))
+    def test_tasks_split_the_alpha_tuples_in_order(self, sizes, count):
+        tasks = _fanout.screen_tasks(sizes, count)
+        assert min(count, math.prod(sizes)) <= len(tasks) < 2 * count
+        swept = []
+        for task in tasks:
+            # The task's slices, and every index at the levels it leaves free.
+            parts = [*task, *[slice(None)] * (len(sizes) - len(task))]
+            swept += itertools.product(*(range(size)[part] for size, part in zip(sizes, parts)))
+        assert swept == list(itertools.product(*map(range, sizes)))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import porter_stem_reference
+from swss import porter
 from swss.porter import stem
 
 PORTER_DIR = Path(__file__).parent / "data" / "porter"
@@ -111,3 +112,14 @@ _RULE_LETTERS = "aeiouyyyyssseeellbcdfgmnrtvwxz"
 )
 def test_agrees_with_reference_stemmer(word):
     assert stem(word) == porter_stem_reference(word)
+
+
+def test_memo_is_bounded_and_keeps_what_the_steps_give():
+    # The vocabulary has more distinct words than the memo keeps, so the
+    # second pass stems some words from the memo and the rest anew.
+    vectors = load_reference_vectors()
+    assert len(vectors) > porter._MEMO_SIZE
+    for _ in range(2):
+        assert [stem(word) for word, _ in vectors] == [expected for _, expected in vectors]
+        assert len(porter._memo) == porter._MEMO_SIZE
+    assert all(porter._memo[word] == porter_stem_reference(word) for word in list(porter._memo)[:2000])
