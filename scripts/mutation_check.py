@@ -68,7 +68,7 @@ MUTATIONS = (
     Mutation(
         "screen-no-degenerate-recheck",
         HARNESS,
-        "        if not sxx > _DEGENERATE * spread + n * (16 * sys.float_info.epsilon * top) ** 2:\n"
+        "        if not sxx > _DEGENERATE * spread + n * (rounding * rounding):\n"
         "            return math.nan, math.inf\n",
         "",
         (GRID_ORACLE,),
@@ -79,6 +79,13 @@ MUTATIONS = (
         "penalized_score(omega if u else f, u, ps, pn, pe, ln, params)",
         "penalized_score(f, u, ps, pn, pe, ln, params)",
         (GRID_ORACLE, f"{SHARED_FILES}::test_matches_per_record_oracle"),
+    ),
+    Mutation(
+        "ablation-reports-read-unablated-params",
+        HARNESS,
+        "    for effective in ablated:\n",
+        "    for effective in [params for _ in ablated]:\n",
+        (f"{SHARED_FILES}::test_ablation_ladder_matches_single_runs_and_oracle",),
     ),
     Mutation(
         "clipping-condition",

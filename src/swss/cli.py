@@ -14,7 +14,7 @@ import sys
 import traceback
 
 from .errors import DatasetError, SwssError
-from .harness import ABLATIONS, TuneGrid, evaluate, grid_search, load_dataset
+from .harness import ABLATIONS, TuneGrid, _reports, grid_search, load_dataset
 from .lexical import load_external_scores
 from .scoring import GraphFeatures, SwssParams, swss
 from .ucca_graph import load_graph
@@ -92,6 +92,15 @@ def _report_table(report) -> str:
     return "\n".join(lines)
 
 
+def _ladder_table(reports) -> str:
+    # One column per ablation, in ABLATIONS order.
+    lines = [f"{'lang pair':<12}" + "".join(f"{a:>12}" for a in ABLATIONS)]
+    for lang_pair in sorted(reports[0].per_pair):
+        lines.append(f"{lang_pair:<12}" + "".join(_fmt_r(r.per_pair[lang_pair]) for r in reports))
+    lines.append(f"{'average':<12}" + "".join(_fmt_r(r.average) for r in reports))
+    return "\n".join(lines)
+
+
 @contextlib.contextmanager
 def _naming_dataset(args):
     # What evaluating the records finds wrong (a language pair with one
@@ -108,12 +117,18 @@ def cmd_evaluate(args) -> int:
     params = _load_params(args.params)
     base = _resolve_base(args.base)
     records = load_dataset(args.manifest)
+    ladder = args.ablation == "all"
     with _naming_dataset(args):
-        report = evaluate(records, params, base=base, ablation=args.ablation, strict=args.strict)
-    print(_report_table(report))
-    if report.skipped:
-        print(f"({report.skipped} segment(s) skipped)", file=sys.stderr)
-    _write_out(report.to_dict(), args.out)
+        reports = _reports(records, params, base, ABLATIONS if ladder else (args.ablation,), args.strict)
+    if ladder:
+        print(_ladder_table(reports))
+        payload = {a: r.to_dict() for a, r in zip(ABLATIONS, reports)}
+    else:
+        print(_report_table(reports[0]))
+        payload = reports[0].to_dict()
+    if reports[0].skipped:
+        print(f"({reports[0].skipped} segment(s) skipped)", file=sys.stderr)
+    _write_out(payload, args.out)
     return 0
 
 
@@ -176,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("manifest", help="newline-delimited JSON dataset manifest")
     ev.add_argument("--params", help="JSON file with parameter overrides")
     ev.add_argument("--base", default="bleu", help="base metric: 'bleu' or 'tsv:PATH'")
-    ev.add_argument("--ablation", choices=ABLATIONS, default="full")
+    ev.add_argument("--ablation", choices=(*ABLATIONS, "all"), default="full", help="all: one report per ablation")
     ev.add_argument("--strict", action="store_true", help="abort on invalid UCCA parses instead of skipping")
-    ev.add_argument("--out", help="write the JSON report here")
+    ev.add_argument("--out", help="write the JSON report (with --ablation all, one per ablation) here")
     ev.set_defaults(func=cmd_evaluate)
 
     tune = sub.add_parser("tune", help="grid-search parameters on a dev set")

@@ -7,6 +7,7 @@ Metric quality is the segment-level Pearson correlation against the human
 scores within each language pair, averaged with equal weight per pair.
 """
 
+import functools
 import json
 import logging
 import math
@@ -110,6 +111,10 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
         raise DatasetError(f"manifest not found: {manifest}")
     base_dir = manifest.parent
     records: list[SegmentRecord] = []
+    # One Path per distinct name, shared by every record that names it,
+    # and one lookup of each file; keyed by name, as a Path is slow to hash.
+    path_of = functools.cache(base_dir.joinpath)
+    is_file = functools.cache(lambda name: path_of(name).is_file())
     try:
         with open(manifest, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -142,13 +147,13 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
             lang_pair=obj["lang_pair"],
             system=obj["system"],
             segment_id=obj["segment_id"],
-            candidate_ucca=base_dir / obj["candidate_ucca"],
-            reference_ucca=base_dir / obj["reference_ucca"],
+            candidate_ucca=path_of(obj["candidate_ucca"]),
+            reference_ucca=path_of(obj["reference_ucca"]),
             human_score=float(human),
         )
-        for path in (record.candidate_ucca, record.reference_ucca):
-            if not path.is_file():
-                raise DatasetError(f"{manifest}:{lineno}: record {record.label}: missing UCCA file {path}")
+        for name in (obj["candidate_ucca"], obj["reference_ucca"]):
+            if not is_file(name):
+                raise DatasetError(f"{manifest}:{lineno}: record {record.label}: missing UCCA file {path_of(name)}")
         records.append(record)
     if not records:
         logger.warning("manifest %s contains no records", manifest)
@@ -394,6 +399,40 @@ def _mean(values) -> float:
     return math.fsum(values) / len(values)
 
 
+def _reports(
+    records: Sequence[SegmentRecord],
+    params: Optional[SwssParams],
+    base: Union[str, ExternalScoreTable],
+    ablations: Sequence[str],
+    strict: bool,
+) -> list[CorrelationReport]:
+    """``evaluate``'s report for each of ``ablations``, from one preparation
+    of the columns: they depend on none of the parameters an ablation
+    changes."""
+    if not records:
+        raise DatasetError("no records to evaluate")
+    params = params if params is not None else SwssParams()
+    ablated = [apply_ablation(params, ablation) for ablation in ablations]
+    columns, skipped = _prepare_segments(records, params, base, strict)
+    reports = []
+    for effective in ablated:
+        per_pair, base_per_pair, counts = _correlations(columns, effective)
+        defined = [r for r in base_per_pair.values() if r is not None]
+        reports.append(
+            CorrelationReport(
+                per_pair=per_pair,
+                base_per_pair=base_per_pair,
+                average=_mean(per_pair.values()),
+                base_average=_mean(defined) if len(defined) == len(base_per_pair) else None,
+                n=counts,
+                skipped=skipped,
+                params=effective,
+                base_name=_base_name(base),
+            )
+        )
+    return reports
+
+
 def evaluate(
     records: Sequence[SegmentRecord],
     params: Optional[SwssParams] = None,
@@ -409,22 +448,7 @@ def evaluate(
     invalid UCCA parse aborts the run; otherwise such segments are skipped
     and counted. An unresolvable base score is always an error.
     """
-    if not records:
-        raise DatasetError("no records to evaluate")
-    effective = apply_ablation(params if params is not None else SwssParams(), ablation)
-    columns, skipped = _prepare_segments(records, effective, base, strict)
-    per_pair, base_per_pair, counts = _correlations(columns, effective)
-    defined = [r for r in base_per_pair.values() if r is not None]
-    return CorrelationReport(
-        per_pair=per_pair,
-        base_per_pair=base_per_pair,
-        average=_mean(per_pair.values()),
-        base_average=_mean(defined) if len(defined) == len(base_per_pair) else None,
-        n=counts,
-        skipped=skipped,
-        params=effective,
-        base_name=_base_name(base),
-    )
+    return _reports(records, params, base, (ablation,), strict)[0]
 
 
 @dataclass(frozen=True)
@@ -538,7 +562,10 @@ def _estimate(sums: list, beta: float, omega: float) -> tuple[float, float]:
         # magnitude can collapse a tiny spread to a constant.
         top = pair.top_base + 2.0 * beta
         n = len(pair.dh)
-        if not sxx > _DEGENERATE * spread + n * (16 * sys.float_info.epsilon * top) ** 2:
+        # Squared by a product: for a huge beta it gives inf, and so a
+        # re-check, where ``** 2`` raises OverflowError.
+        rounding = 16 * sys.float_info.epsilon * top
+        if not sxx > _DEGENERATE * spread + n * (rounding * rounding):
             return math.nan, math.inf
         total += sxy / math.sqrt(sxx * pair.hh)
         slack += 1.0 + spread / sxx + top * math.sqrt(n / sxx)

@@ -11,6 +11,7 @@ compact JSON mirror that is convenient to write by hand and round-trips
 losslessly (see ``emit_json``).
 """
 
+import codecs
 import json
 import xml.etree.ElementTree as ElementTree
 from collections import defaultdict
@@ -568,12 +569,23 @@ def emit_json(graph: UccaGraph) -> dict:
     }
 
 
+def _is_xml(data: bytes) -> bool:
+    """Whether ``data`` starts with ``<`` after any white space, and after
+    a UTF-8 or UTF-16 byte-order mark if it has one: ElementTree reads
+    each of the three encodings."""
+    for bom in (codecs.BOM_UTF8, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE):
+        if data.startswith(bom):
+            # A UTF-16 character below U+0100 is its byte and a NUL byte.
+            return data[len(bom):].lstrip(b" \t\r\n\0")[:1] == b"<"
+    return data.lstrip()[:1] == b"<"
+
+
 def load_graph(path, lenient: bool = False) -> UccaGraph:
     """Read one graph from ``path``, sniffing XML vs JSON from the content."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        if data.lstrip()[:1] == b"<":
+        if _is_xml(data):
             return parse_ucca_xml(data, lenient=lenient)
         return parse_ucca_json(data, lenient=lenient)
     except GraphError as exc:

@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 
 from oracles import evaluate_per_record, grid_search_per_record, reference_pearson
 from swss import _fanout, harness
+from swss.cli import main
 from swss.errors import DatasetError, GraphError
-from swss.harness import TuneGrid, evaluate, grid_search, load_dataset, pearson
+from swss.harness import ABLATIONS, TuneGrid, apply_ablation, evaluate, grid_search, load_dataset, pearson
 from swss.lexical import ExternalScoreTable, sentence_bleu
 from swss.scoring import SwssParams, score_from_features, swss
 from swss.synthetic import mutate_tokens, random_graph, write_synthetic_dataset
@@ -164,6 +165,37 @@ class TestLoadDataset:
         )
         with pytest.raises(DatasetError, match="record aa-en/sys/3: missing UCCA file"):
             load_dataset(manifest)
+
+    def test_records_that_name_one_file_share_one_path(self, shared_records):
+        paths = {}
+        for record in shared_records:
+            for path in (record.candidate_ucca, record.reference_ucca):
+                assert paths.setdefault(str(path), path) is path
+        assert len(paths) < 2 * len(shared_records)
+
+    def test_missing_file_fails_at_the_first_line_that_names_it(self, tmp_path, corpus):
+        graph = str(corpus.parent / "seg0000.cand.json")
+        rows = [(graph, graph), (graph, "gone.json"), (graph, graph), (graph, graph), ("gone.json", graph)]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "lang_pair": "aa-en",
+                        "system": "sys",
+                        "segment_id": i,
+                        "candidate_ucca": candidate,
+                        "reference_ucca": reference,
+                        "human_score": 0.5,
+                    }
+                )
+                + "\n"
+                for i, (candidate, reference) in enumerate(rows)
+            )
+        )
+        with pytest.raises(DatasetError) as info:
+            load_dataset(manifest)
+        assert str(info.value) == f"{manifest}:2: record aa-en/sys/1: missing UCCA file {tmp_path / 'gone.json'}"
 
     def test_unknown_field_rejected(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
@@ -511,6 +543,11 @@ class TestGridSearchOracle:
             grid_search(flat, grid)
         assert str(info.value) == expected
 
+    def test_huge_beta_matches_bruteforce(self, records):
+        # beta squared overflows in the screen; the points are re-checked.
+        grid = singleton_grid(alpha1=(0.0, 0.2), beta=(0.5, 1.8869812124107707e168), omega=(0.0, 0.5))
+        assert outcome(grid_search, records, grid, "bleu") == outcome(grid_search_per_record, records, grid, "bleu")
+
     def test_constant_base_at_beta_zero_raises_like_bruteforce(self, records):
         table = constant_table(records, 0.25)
         grid = singleton_grid(alpha1=(0.0, 0.2), beta=(0.0, 0.2))
@@ -636,6 +673,48 @@ class TestSharedFiles:
 
     def test_features_are_kept_only_until_last_use(self, monkeypatch, shared_records, corrupt_shared_records, tmp_path):
         check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path)
+
+    def run_evaluate(self, capsys, records, ablation, out):
+        manifest = records[0].candidate_ucca.parent / "manifest.jsonl"
+        assert main(["evaluate", str(manifest), "--ablation", ablation, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        return json.loads(out.read_text(encoding="utf-8")), captured.err
+
+    @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records"])
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    def test_ablation_ladder_matches_single_runs_and_oracle(
+        self, request, monkeypatch, capsys, tmp_path, fixture, fanned
+    ):
+        records = request.getfixturevalue(fixture)
+        if fanned:
+            force_fan_out(monkeypatch)
+        ladder, _ = self.run_evaluate(capsys, records, "all", tmp_path / "ladder.json")
+        assert list(ladder) == sorted(ABLATIONS)
+        for ablation in ABLATIONS:
+            single, _ = self.run_evaluate(capsys, records, ablation, tmp_path / f"{ablation}.json")
+            assert ladder[ablation] == single
+            oracle = evaluate_per_record(records, apply_ablation(SwssParams(), ablation))
+            assert ladder[ablation] == json.loads(json.dumps(oracle))
+
+    @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records"])
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    def test_ablation_ladder_loads_each_file_and_warns_once(
+        self, request, monkeypatch, capsys, caplog, tmp_path, fixture, fanned
+    ):
+        records = request.getfixturevalue(fixture)
+        if fanned:
+            request.getfixturevalue("fan_out")()  # the caller and the child each score a task
+        log_loads(monkeypatch, tmp_path / "loads")
+        with caplog.at_level(logging.WARNING):
+            ladder, err = self.run_evaluate(capsys, records, "all", tmp_path / "ladder.json")
+        pids, paths = logged_loads(tmp_path / "loads")
+        assert paths == Counter(map(str, distinct_paths(records)))
+        assert os.getpid() in pids and len(pids) == (2 if fanned else 1)
+        skipped = ladder["full"]["skipped"]
+        assert skipped == (4 if fixture.startswith("corrupt") else 0)
+        assert caplog.text.count("skipping record") == skipped
+        assert caplog.text.count("record(s) with invalid UCCA parses") == (skipped > 0)
+        assert err.count("segment(s) skipped") == (skipped > 0)
 
 
 def distinct_paths(records):

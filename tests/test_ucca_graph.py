@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import dataclasses
 import io
@@ -72,6 +73,16 @@ class TestFigureFixture:
 
     def test_json_mirror_is_isomorphic(self, figure_graph, figure_graph_json):
         assert isomorphic(figure_graph, figure_graph_json)
+
+    @pytest.mark.parametrize(
+        "bom, codec",
+        [(codecs.BOM_UTF8, "utf-8"), (codecs.BOM_UTF16_LE, "utf-16-le"), (codecs.BOM_UTF16_BE, "utf-16-be")],
+        ids=["utf-8", "utf-16-le", "utf-16-be"],
+    )
+    def test_xml_after_a_byte_order_mark_loads(self, figure_graph, figure_xml_path, tmp_path, bom, codec):
+        path = tmp_path / "figure.xml"
+        path.write_bytes(bom + ("\n" + figure_xml_path.read_text(encoding="utf-8")).encode(codec))
+        assert emit_json(load_graph(path)) == emit_json(figure_graph)
 
     def test_remote_edge_survives_collapse(self, figure_graph):
         remotes = [e for e in figure_graph.edges if e.remote]
