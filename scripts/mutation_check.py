@@ -88,6 +88,20 @@ MUTATIONS = (
         (f"{SHARED_FILES}::test_ablation_ladder_matches_single_runs_and_oracle",),
     ),
     Mutation(
+        "pearson-nan-clamped",
+        HARNESS,
+        "    if math.isnan(r):\n        raise ValueError(_NOT_FINITE)\n",
+        "",
+        ("tests/test_harness.py::TestPearson::test_input_that_is_not_finite_is_an_error",),
+    ),
+    Mutation(
+        "pearson-huge-inputs-not-scaled",
+        HARNESS,
+        "    if top <= _HUGE:\n",
+        "    if True:\n",
+        ("tests/test_harness.py::TestPearson::test_inputs_up_to_the_float_maximum",),
+    ),
+    Mutation(
         "clipping-condition",
         "src/swss/core_words.py",
         "if used < other_counts.get(stem, 0):",
@@ -98,7 +112,7 @@ MUTATIONS = (
         "cache-errors-not-kept",
         HARNESS,
         "            if not last:\n                self._kept[path] = found",
-        "            if not last and not isinstance(found, GraphError):\n                self._kept[path] = found",
+        "            if not last and not isinstance(found, str):\n                self._kept[path] = found",
         (f"{SHARED_FILES}::test_features_are_kept_only_until_last_use",),
     ),
     Mutation(
@@ -124,9 +138,9 @@ MUTATIONS = (
     ),
     Mutation(
         "pool-merge-in-arrival-order",
-        FANOUT,
-        "outcomes[i] = GraphError(outcome)",
-        "outcomes[outcomes.index(None)] = GraphError(outcome)",
+        HARNESS,
+        "            outcomes[i] = outcome\n",
+        "            outcomes[outcomes.index(None)] = outcome\n",
         (f"{WORKER_POOL}::test_first_error_in_record_order_wins", f"{WORKER_POOL}::test_matches_serial_run_and_oracle"),
     ),
     Mutation(
@@ -141,14 +155,14 @@ MUTATIONS = (
     ),
     Mutation(
         "pool-in-daemonic-worker",
-        HARNESS,
+        FANOUT,
         "multiprocessing is not None and multiprocessing.current_process().daemon",
         "False",
         (f"{WORKER_POOL}::test_runs_serially_in_a_daemonic_worker",),
     ),
     Mutation(
         "pool-forked-while-threads-run",
-        HARNESS,
+        FANOUT,
         "threading.active_count() > 1",
         "False",
         (f"{WORKER_POOL}::test_runs_serially_while_other_threads_run",),
@@ -189,17 +203,24 @@ MUTATIONS = (
     ),
     Mutation(
         "screen-task-filtered-by-its-own-lower-bound",
-        FANOUT,
+        HARNESS,
         "for _, candidates in results for upper, vector in candidates if upper >= lower]",
         "for task_lower, candidates in results for upper, vector in candidates if upper >= task_lower]",
         (f"{SPLIT_SCREEN}::test_matches_serial_screen", f"{SPLIT_SCREEN}::test_rechecks_as_many_points_as_serial_screen"),
     ),
     Mutation(
         "screen-tasks-joined-out-of-order",
-        FANOUT,
+        HARNESS,
         "for _, candidates in results for upper",
         "for _, candidates in results[::-1] for upper",
         (f"{SPLIT_SCREEN}::test_matches_serial_screen",),
+    ),
+    Mutation(
+        "one-process-run-opens-a-pipe",
+        FANOUT,
+        "            if min(processes, count) > 1:\n",
+        "            if True:\n",
+        (f"{WORKER_POOL}::test_one_process_opens_no_pipe_and_forks_nothing",),
     ),
     Mutation(
         "fan-out-dead-child-unnoticed",

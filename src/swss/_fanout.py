@@ -1,12 +1,13 @@
 """Run numbered tasks in forked processes, the calling one included.
 
-``harness`` imports this module only for a run that fans out, so neither
-``import swss`` nor a serial run loads it. ``forked_results`` is the one
-fork primitive: the caller writes every task number into one pipe and
-forks; every process then takes task numbers until the pipe is empty, and
-each child sends its results back through a pipe of its own. Record
-scoring (``forked_outcomes``) and the grid screen (``forked_screen``) both
-run on it.
+``harness`` imports this module inside the two phases that use it, record
+scoring and the grid screen, so ``import swss`` does not load it. Each
+run of a phase splits its work into tasks and makes one
+``forked_results`` call: the caller writes every task number into one
+pipe and forks; every process then takes task numbers until the pipe is
+empty, and each child sends its results back through a pipe of its own.
+With one process, the call opens no pipe, forks nothing and runs every
+task in the caller. This module imports nothing from ``swss``.
 """
 
 import itertools
@@ -14,14 +15,11 @@ import logging
 import marshal
 import math
 import os
+import sys
+import threading
 import traceback
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, NoReturn, Optional, Sequence, Union
-
-from .errors import GraphError
-from .harness import SegmentRecord, TuneGrid, _outcomes, _PairSums, _screen_sweep
-from .lexical import ExternalScoreTable
-from .scoring import SwssParams
+from typing import BinaryIO, Callable, Iterable, NoReturn, Optional, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +30,25 @@ TASKS_PER_PROCESS = 16
 # Task numbers go through a pipe as 4-byte records in one write, which an
 # empty pipe (at least one 4 KiB page) always holds.
 MAX_TASKS = 1024
+
+
+def usable_processes(work: int, minimum: int) -> int:
+    """Processes to do ``work`` units with, this one included: 1, to do
+    them in this process alone, below ``minimum`` units."""
+    if work < minimum or not hasattr(os, "sched_getaffinity"):
+        return 1
+    # A fork is unsafe while other threads run, and a daemonic
+    # multiprocessing worker may not start children.
+    multiprocessing = sys.modules.get("multiprocessing")
+    if threading.active_count() > 1 or multiprocessing is not None and multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def task_count(processes: int, limit: int) -> int:
+    """Tasks to split a phase into for ``processes`` processes, at most
+    ``limit``: one, all the work in order, for a single process."""
+    return 1 if processes < 2 else min(processes * TASKS_PER_PROCESS, limit)
 
 
 def _task_results(run: Callable[[int], Iterable], n: int) -> list:
@@ -113,28 +130,29 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
     by this process and up to ``processes - 1`` forked children, each
     taking tasks from one pipe until it is empty. A task's items reach the
     caller as marshal or pickle rebuilds them; an exception raised in a
-    child has that child's traceback text as its cause. Where a pipe or a
-    fork fails, the processes already there run every task. No child
-    outlives the call."""
+    child has that child's traceback text as its cause. With one process
+    or one task, and where a pipe or a fork fails, the processes already
+    there run every task. No child outlives the call."""
     queue = None
     children: dict[int, Optional[BinaryIO]] = {}  # pid: its result pipe, None once reaped
     try:
         try:
-            queue, feed = os.pipe()
-            os.write(feed, b"".join(n.to_bytes(4, "little") for n in range(count)))
-            os.close(feed)
-            for _ in range(min(processes, count) - 1):
-                result, send = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(result)
+            if min(processes, count) > 1:
+                queue, feed = os.pipe()
+                os.write(feed, b"".join(n.to_bytes(4, "little") for n in range(count)))
+                os.close(feed)
+                for _ in range(min(processes, count) - 1):
+                    result, send = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        os.close(result)
+                        os.close(send)
+                        raise
+                    if pid == 0:
+                        _run_child(queue, send, run)
                     os.close(send)
-                    raise
-                if pid == 0:
-                    _run_child(queue, send, run)
-                os.close(send)
-                children[pid] = os.fdopen(result, "rb")
+                    children[pid] = os.fdopen(result, "rb")
         except OSError as exc:
             logger.warning("could not start a worker process (%s); running with %d process(es)", exc, len(children) + 1)
         # The tasks' inputs reach the children through the fork; only
@@ -165,10 +183,11 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
     return [done[n] for n in range(count)]
 
 
-def partition(records: Sequence[SegmentRecord], count: int) -> list[list[int]]:
+def partition(records: Sequence, count: int) -> list[list[int]]:
     """Record indices in about ``count`` tasks, each in record order. The
-    records that name a common file share a task, so that each file is
-    loaded once in all."""
+    records that name a common file (``candidate_ucca`` or
+    ``reference_ucca``) share a task, so that each file is loaded once in
+    all."""
     group = list(range(len(records)))  # union-find over record indices
 
     def find(i: int) -> int:
@@ -194,31 +213,6 @@ def partition(records: Sequence[SegmentRecord], count: int) -> list[list[int]]:
     return [sorted(task) for task in tasks]
 
 
-def forked_outcomes(
-    records: Sequence[SegmentRecord],
-    params: SwssParams,
-    base: Union[str, ExternalScoreTable],
-    lenient: bool,
-    processes: int,
-) -> list:
-    """The ``_outcomes`` of every record, scored in ``forked_results`` tasks
-    and put back at each record's index. Where a task stopped at an
-    unexpected exception, that is its record's outcome, and the records
-    after it in the task have none (None)."""
-    tasks = partition(records, min(processes * TASKS_PER_PROCESS, MAX_TASKS))
-
-    def run(n: int):
-        for outcome in _outcomes([records[i] for i in tasks[n]], params, base, lenient):
-            # A GraphError crosses the pipe as its message.
-            yield str(outcome) if isinstance(outcome, GraphError) else outcome
-
-    outcomes: list = [None] * len(records)
-    for task, results in zip(tasks, forked_results(run, len(tasks), processes)):
-        for i, outcome in zip(task, results):
-            outcomes[i] = GraphError(outcome) if isinstance(outcome, str) else outcome
-    return outcomes
-
-
 def screen_tasks(sizes: Sequence[int], count: int) -> list[tuple]:
     """At least ``count`` tasks where the alpha grid has that many tuples,
     and fewer than ``2 * count``, that split it into contiguous runs in
@@ -236,18 +230,3 @@ def screen_tasks(sizes: Sequence[int], count: int) -> list[tuple]:
         for prefix in itertools.product(*map(range, sizes[: depth - 1]))
         for part in parts
     ]
-
-
-def forked_screen(pairs: list[_PairSums], grid: TuneGrid, processes: int) -> list[tuple]:
-    """``harness._screen``'s grid vectors, swept in ``forked_results``
-    tasks. A task prunes with its own best lower bound, which is never
-    above the best of all, so keeping the joined candidates that reach the
-    best of all gives the serial screen's list."""
-    sizes = (len(grid.alpha1), len(grid.alpha2), len(grid.alpha3), len(grid.alpha4))
-    tasks = screen_tasks(sizes, min(processes * TASKS_PER_PROCESS, MAX_TASKS // 2))
-    results = forked_results(lambda n: _screen_sweep(pairs, grid, tasks[n]), len(tasks), processes)
-    for result in results:
-        if isinstance(result[-1], Exception):
-            raise result[-1]
-    lower = max(task_lower for task_lower, _ in results)
-    return [vector for _, candidates in results for upper, vector in candidates if upper >= lower]

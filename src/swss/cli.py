@@ -33,7 +33,7 @@ def _load_json_object(path, kind: str, from_dict):
     """Read a JSON object from ``path`` and build it with ``from_dict``;
     every error names the file."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             data = json.load(handle)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from None

@@ -8,13 +8,12 @@ scores within each language pair, averaged with equal weight per pair.
 """
 
 import functools
+import itertools
 import json
 import logging
 import math
 import operator
-import os
 import sys
-import threading
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -116,7 +115,7 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
     path_of = functools.cache(base_dir.joinpath)
     is_file = functools.cache(lambda name: path_of(name).is_file())
     try:
-        with open(manifest, encoding="utf-8") as handle:
+        with open(manifest, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{manifest}: not UTF-8 text: {exc}") from None
@@ -174,11 +173,27 @@ def _scaled(deviations: list[float]) -> list[float]:
     return [math.ldexp(d, shift) for d in deviations]
 
 
+# Above this magnitude, the sum of the values, or a value's deviation
+# from their mean, could leave the float range.
+_HUGE = 2.0**960
+_NOT_FINITE = "pearson is undefined for an input that is not finite"
+
+
+def _tamed(values: Sequence[float], top: float) -> Sequence[float]:
+    # Values of magnitude at most ``top``; if that is huge, scaled by the
+    # power of two that brings ``top`` into [0.5, 1), as in ``_scaled``.
+    if top <= _HUGE:
+        return values
+    shift = -math.frexp(top)[1]
+    return [math.ldexp(v, shift) for v in values]
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length lists.
 
-    Raises ValueError for fewer than two points or for a constant input,
-    where the coefficient is undefined (never silently 0).
+    Raises ValueError for fewer than two points, for a constant input,
+    where the coefficient is undefined (never silently 0), and for an
+    input that is not finite.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
@@ -187,13 +202,21 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("pearson requires at least two points")
     # Tested before centring: the mean of a constant can be off by an
     # ulp, which leaves tiny non-zero deviations.
-    if max(xs) == min(xs) or max(ys) == min(ys):
+    x_top, x_bottom, y_top, y_bottom = max(xs), min(xs), max(ys), min(ys)
+    if x_top == x_bottom or y_top == y_bottom:
         raise ValueError("pearson is undefined for a constant input")
-    dx = _scaled(_centred(xs))
-    dy = _scaled(_centred(ys))
+    # The largest magnitudes: inf for an infinite input. A NaN that max
+    # and min pass over makes r NaN.
+    x_size, y_size = max(x_top, -x_bottom), max(y_top, -y_bottom)
+    if not (math.isfinite(x_size) and math.isfinite(y_size)):
+        raise ValueError(_NOT_FINITE)
+    dx = _scaled(_centred(_tamed(xs, x_size)))
+    dy = _scaled(_centred(_tamed(ys, y_size)))
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
     r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
+    if math.isnan(r):
+        raise ValueError(_NOT_FINITE)
     return max(-1.0, min(1.0, r))
 
 
@@ -237,21 +260,22 @@ def _base_name(base: Union[str, ExternalScoreTable]) -> str:
 class _FeatureCache:
     """Graph features per file path for one pass over ``records``.
 
-    Each file is loaded once. Its features, or the GraphError it raised,
-    are kept only while a later record still names the file, so a file
-    that only one record names is never kept, and memory follows the
-    number of files still to come back, not the corpus size.
+    Each file is loaded once. Its features, or the message of the
+    GraphError it raised, are kept only while a later record still names
+    the file, so a file that only one record names is never kept, and
+    memory follows the number of files still to come back, not the corpus
+    size.
     """
 
     def __init__(self, records: Sequence[SegmentRecord], lenient: bool):
         self._uses = Counter(path for r in records for path in (r.candidate_ucca, r.reference_ucca))
-        self._kept: dict[Path, Union[GraphFeatures, GraphError]] = {}
+        self._kept: dict[Path, Union[GraphFeatures, str]] = {}
         self._lenient = lenient
 
-    def take(self, path: Path, load: bool = True) -> Union[GraphFeatures, GraphError, None]:
-        """Use ``path`` once more: its features, or the error loading it
-        raised. With ``load=False`` the use is only counted, and None is
-        returned for a file not loaded yet."""
+    def take(self, path: Path, load: bool = True) -> Union[GraphFeatures, str, None]:
+        """Use ``path`` once more: its features, or the message of the
+        GraphError loading it raised. With ``load=False`` the use is only
+        counted, and None is returned for a file not loaded yet."""
         self._uses[path] -= 1
         last = self._uses[path] == 0
         found = self._kept.pop(path, None) if last else self._kept.get(path)
@@ -259,8 +283,7 @@ class _FeatureCache:
             try:
                 found = GraphFeatures.of(load_graph(path, lenient=self._lenient))
             except GraphError as exc:
-                # Without its traceback, which holds the parser's frames.
-                found = exc.with_traceback(None)
+                found = str(exc)
             if not last:
                 self._kept[path] = found
         return found
@@ -268,13 +291,14 @@ class _FeatureCache:
 
 def _score_record(
     record: SegmentRecord, features: _FeatureCache, params: SwssParams, base: Union[str, ExternalScoreTable]
-) -> Union[tuple, GraphError]:
-    """One record's column values, or the GraphError of a graph it names."""
+) -> Union[tuple, str]:
+    """One record's column values, or the message of the GraphError of a
+    graph it names."""
     candidate = features.take(record.candidate_ucca)
-    candidate_failed = isinstance(candidate, GraphError)
+    candidate_failed = isinstance(candidate, str)
     # The reference's use is counted even when the candidate failed.
     reference = features.take(record.reference_ucca, load=not candidate_failed)
-    if candidate_failed or isinstance(reference, GraphError):
+    if candidate_failed or isinstance(reference, str):
         return candidate if candidate_failed else reference
     if isinstance(base, ExternalScoreTable):
         base_score = base.score(record.system, record.segment_id)
@@ -287,42 +311,16 @@ def _score_record(
     )
 
 
-def _outcomes(
-    records: Sequence[SegmentRecord], params: SwssParams, base: Union[str, ExternalScoreTable], lenient: bool
-):
-    """Yield each record's ``_score_record`` outcome in order; an
-    unexpected exception propagates at its record."""
-    features = _FeatureCache(records, lenient)
-    for record in records:
-        yield _score_record(record, features, params, base)
-
-
-# Below this many records, scoring stays in the calling process. A fork
-# costs about 0.5 ms and a child's round trip about 2 ms, but on 2 CPUs
-# records of JSON graphs with a TSV base, the cheapest to score, break
-# even only near 50 records; from 75 on, every kind measured gains.
+# Below this many records, scoring stays in the calling process. A worker
+# process costs about 0.5 ms to start and its round trip about 2 ms, but
+# on 2 CPUs records of JSON graphs with a TSV base, the cheapest to score,
+# break even only near 50 records; from 75 on, every kind measured gains.
 _FAN_OUT_MIN_RECORDS = 75
 # Below this many alpha tuples times segments, the grid screen stays in
-# the calling process. The sweep costs about 0.5 us per unit and a fork
-# round about 2.5 ms; on 2 CPUs the split screen breaks even at 40,000 to
-# 50,000 units.
+# the calling process. The sweep costs about 0.5 us per unit and a round
+# of worker processes about 2.5 ms; on 2 CPUs the split screen breaks
+# even at 40,000 to 50,000 units.
 _FAN_OUT_MIN_SCREEN_WORK = 50_000
-
-
-def _processes(work: int, minimum: int) -> int:
-    """Processes to do ``work`` units with, this one included: 1, to do
-    them in this process alone, below ``minimum`` units."""
-    if work < minimum or not hasattr(os, "sched_getaffinity"):
-        return 1
-    # A fork is unsafe while other threads run, and a daemonic
-    # multiprocessing worker may not start children.
-    multiprocessing = sys.modules.get("multiprocessing")
-    if (
-        threading.active_count() > 1
-        or multiprocessing is not None and multiprocessing.current_process().daemon
-    ):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _prepare_segments(
@@ -335,19 +333,30 @@ def _prepare_segments(
     the number of records skipped."""
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
-    processes = _processes(len(records), _FAN_OUT_MIN_RECORDS)
-    if processes > 1:
-        from ._fanout import forked_outcomes  # only a run that fans out loads it
+    # Imported here, so that ``import swss`` does not load it.
+    from ._fanout import MAX_TASKS, forked_results, partition, task_count, usable_processes
 
-        outcomes = forked_outcomes(records, params, base, not strict, processes)
-    else:
-        outcomes = _outcomes(records, params, base, not strict)
+    processes = usable_processes(len(records), _FAN_OUT_MIN_RECORDS)
+    tasks = partition(records, task_count(processes, MAX_TASKS))
+
+    def run(n: int):
+        task = [records[i] for i in tasks[n]]
+        features = _FeatureCache(task, not strict)
+        for record in task:
+            yield _score_record(record, features, params, base)
+
+    # Where a task stopped at an unexpected exception, that is its
+    # record's outcome, and the records after it in the task have none.
+    outcomes: list = [None] * len(records)
+    for task, results in zip(tasks, forked_results(run, len(tasks), processes)):
+        for i, outcome in zip(task, results):
+            outcomes[i] = outcome
     rows: dict[str, list[tuple]] = {}
     skipped = 0
     # In record order, so the first error raised and the warnings are
     # those of one pass over the records, whoever scored them.
     for record, outcome in zip(records, outcomes):
-        if isinstance(outcome, GraphError):
+        if isinstance(outcome, str):  # a GraphError's message
             if strict:
                 raise DatasetError(f"record {record.label}: {outcome}") from None
             skipped += 1
@@ -586,6 +595,10 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
         if len(pair.human) < 2 or max(pair.human) == min(pair.human):
             # Pearson raises at every point, so the first one tells how.
             return [(grid.alpha1[0], grid.alpha2[0], grid.alpha3[0], grid.alpha4[0], grid.beta[0], grid.omega[0])]
+        top_base = max(map(abs, pair.base))
+        if max(top_base, max(pair.human), -min(pair.human)) > _HUGE:
+            # The sums below could overflow, so every point is re-checked.
+            return list(itertools.product(*alphas, grid.beta, grid.omega))
         dh = _scaled(_centred(pair.human))
         db = _centred(pair.base)
         du = _centred(pair.fallback)
@@ -596,25 +609,33 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
         pairs.append(
             _PairSums(
                 f1=pair.f1, tables=tables, dh=dh, db=db, du=du, hh=math.fsum(d * d for d in dh), bh=_dot(db, dh),
-                uh=_dot(du, dh), bb=_dot(db, db), uu=_dot(du, du), bu=_dot(db, du), top_base=max(map(abs, pair.base)),
+                uh=_dot(du, dh), bb=_dot(db, db), uu=_dot(du, du), bu=_dot(db, du), top_base=top_base,
             )
         )
-    processes = _processes(
-        math.prod(map(len, alphas)) * sum(len(pair.dh) for pair in pairs), _FAN_OUT_MIN_SCREEN_WORK
-    )
-    if processes > 1:
-        from ._fanout import forked_screen  # only a run that fans out loads it
+    # Imported here, so that ``import swss`` does not load it.
+    from ._fanout import MAX_TASKS, forked_results, screen_tasks, task_count, usable_processes
 
-        return forked_screen(pairs, grid, processes)
-    lower, candidates = _screen_sweep(pairs, grid)
-    return [vector for upper, vector in candidates if upper >= lower]
+    sizes = tuple(map(len, alphas))
+    processes = usable_processes(math.prod(sizes) * sum(len(pair.dh) for pair in pairs), _FAN_OUT_MIN_SCREEN_WORK)
+    tasks = screen_tasks(sizes, task_count(processes, MAX_TASKS // 2))
+    results = forked_results(lambda n: _screen_sweep(pairs, grid, tasks[n]), len(tasks), processes)
+    for result in results:
+        if isinstance(result[-1], Exception):
+            raise result[-1]
+    lower = max(task_lower for task_lower, _ in results)
+    return [vector for _, candidates in results for upper, vector in candidates if upper >= lower]
 
 
-def _screen_sweep(pairs: list[_PairSums], grid: "TuneGrid", prefix: tuple = ()) -> tuple[float, list]:
+def _screen_sweep(pairs: list[_PairSums], grid: "TuneGrid", prefix: tuple) -> tuple[float, list]:
     """The best lower bound on the exact objective of the grid points whose
     alpha indices lie in the slices ``prefix`` (one per leading alpha
     level), and, in lexicographic order, ``(upper bound, vector)`` of
-    those points that may reach it."""
+    those points that may reach it.
+
+    A sweep over part of the grid prunes with its own best lower bound,
+    which is never above the best of the whole grid, so the candidates of
+    sweeps over contiguous parts, joined in order and kept where they
+    reach the best of all, are those of one sweep over the whole grid."""
     sweeps = [
         _alpha_sweep(pair.f1, [level[part] for level, part in zip(pair.tables, prefix)] + pair.tables[len(prefix):])
         for pair in pairs

@@ -106,7 +106,7 @@ def load_external_scores(path, metric_name: str = "") -> ExternalScoreTable:
         raise DatasetError(f"score table not found: {path}")
     rows: dict[tuple[str, int], float] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None

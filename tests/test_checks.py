@@ -1,5 +1,6 @@
 """Checks on the checks: the mutation table still points at live code,
-and the oracles share no private code with the library."""
+the oracles share no private code with the library, and the fork
+primitive's module imports nothing from it."""
 
 import ast
 import importlib.util
@@ -96,3 +97,38 @@ class TestOracleIndependence:
     def test_public_names_pass(self):
         source = "from swss.harness import pearson\nfrom swss import harness\nharness.evaluate\nx._replace"
         assert private_swss_names(source) == []
+
+
+def swss_imports(source):
+    """Every import of the ``swss`` package in ``source``, relative or
+    absolute, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "swss"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            found += [ast.unparse(node) for alias in node.names if alias.name.split(".")[0] == "swss"]
+    return found
+
+
+class TestFanoutIndependence:
+    def test_fanout_imports_nothing_from_swss(self):
+        source = (ROOT / "src" / "swss" / "_fanout.py").read_text(encoding="utf-8")
+        assert swss_imports(source) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from .harness import _PairSums",
+            "from . import errors",
+            "def f():\n    from .scoring import SwssParams",
+            "from swss.errors import GraphError",
+            "import swss.harness",
+            "import os, swss",
+        ],
+    )
+    def test_imports_are_found(self, source):
+        assert swss_imports(source)
+
+    def test_other_imports_pass(self):
+        assert swss_imports("import os\nimport swsslike\nfrom typing import Sequence") == []

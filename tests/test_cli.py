@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import json
@@ -312,6 +313,32 @@ def valid_inputs(tmp_path_factory):
     }
 
 
+def input_file_argv(dest, kind, path):
+    """A command line that reads ``path`` as a file of ``kind``, with the
+    other inputs from ``valid_inputs``."""
+    manifest = dest / "manifest.jsonl"
+    return {
+        "manifest": ["evaluate", str(path)],
+        "tsv": ["evaluate", str(manifest), "--base", f"tsv:{path}"],
+        "params": ["evaluate", str(manifest), "--params", str(path)],
+        "grid": ["tune", str(manifest), "--grid", str(path)],
+    }[kind]
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", ["manifest", "tsv", "params", "grid"])
+    def test_same_output_as_without(self, capsys, valid_inputs, kind):
+        dest, contents = valid_inputs
+        outputs = []
+        for mark in (b"", codecs.BOM_UTF8):
+            path = dest / f"marked.{kind}"
+            path.write_bytes(mark + contents[kind])
+            code, out, err = run(capsys, *input_file_argv(dest, kind, path))
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 @st.composite
 def value_mutants(draw, kind, content):
     """``content`` with one value replaced or removed: one JSON value of a
@@ -341,15 +368,9 @@ class TestInputFileFuzz:
 
     def check(self, valid_inputs, kind, content):
         dest, _ = valid_inputs
-        manifest = dest / "manifest.jsonl"
         path = dest / f"mutant.{kind}"
         path.write_bytes(content)
-        argv = {
-            "manifest": ["evaluate", str(path)],
-            "tsv": ["evaluate", str(manifest), "--base", f"tsv:{path}"],
-            "params": ["evaluate", str(manifest), "--params", str(path)],
-            "grid": ["tune", str(manifest), "--grid", str(path)],
-        }[kind]
+        argv = input_file_argv(dest, kind, path)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")), \
                 contextlib.redirect_stderr(err):

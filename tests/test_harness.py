@@ -10,6 +10,7 @@ import random
 import re
 import select
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import evaluate_per_record, grid_search_per_record, reference_pearson
@@ -129,6 +130,35 @@ class TestPearson:
         xs = [0.3, 1.7, 2.2, 4.0, 5.1]
         ys = [1.1, 0.4, 2.8, 2.9, 4.4]
         assert pearson(xs, ys) == pytest.approx(reference_pearson(xs, ys), abs=1e-12)
+
+    @given(
+        st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=2, max_size=20),
+        st.integers(0, 1100),
+        st.integers(0, 1100),
+    )
+    # Shifts capped at the float maximum: a sum that leaves the float
+    # range, and deviations that overflow to inf.
+    @example([(-1000, 1), (1000, 2), (1000, 3), (0, 4)], 1100, 0)
+    @example([(-1000, -1000), (1000, 1000)], 1100, 1100)
+    def test_inputs_up_to_the_float_maximum(self, pairs, x_shift, y_shift):
+        xs = [float(x) for x, _ in pairs]
+        ys = [float(y) for _, y in pairs]
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        # Exact scalings, the largest magnitude at most the float maximum.
+        x_shift = min(x_shift, 1024 - math.frexp(max(map(abs, xs)))[1])
+        y_shift = min(y_shift, 1024 - math.frexp(max(map(abs, ys)))[1])
+        r = pearson([math.ldexp(x, x_shift) for x in xs], [math.ldexp(y, y_shift) for y in ys])
+        assert r == pytest.approx(statistics.correlation(xs, ys), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_input_that_is_not_finite_is_an_error(self, bad, at):
+        xs = [1.0, 2.0, 3.0]
+        xs[at] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            pearson(xs, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="not finite"):
+            pearson([1.0, 2.0, 3.0], xs)
 
 
 class TestLoadDataset:
@@ -262,6 +292,23 @@ class TestEvaluate:
         # A constant base has no correlation of its own.
         assert all(r is None for r in report.base_per_pair.values())
         assert report.base_average is None
+
+    def test_base_near_the_float_maximum(self, tmp_path):
+        records = load_dataset(write_synthetic_dataset(tmp_path, 8, seed=3))
+        values = [-1.7e308, 1.7e308, 1.7e308, 0.0]
+        table = ExternalScoreTable("huge", {(r.system, r.segment_id): values[i % 4] for i, r in enumerate(records)})
+        report = evaluate(records, SwssParams(beta=0.0), base=table)
+        prescaled = [math.ldexp(values[i % 4], -1000) for i in range(len(records))]
+        expected = statistics.correlation(prescaled, [r.human_score for r in records])
+        (lang_pair,) = report.per_pair
+        assert report.per_pair[lang_pair] == pytest.approx(expected, abs=1e-12)
+        assert report.base_per_pair[lang_pair] == pytest.approx(expected, abs=1e-12)
+        assert expected < 0.9
+
+    def test_combined_metric_that_overflows_is_an_error(self, records):
+        table = ExternalScoreTable("huge", {(r.system, r.segment_id): 1.7e308 + i for i, r in enumerate(records)})
+        with pytest.raises(DatasetError, match="^language pair 'aa-en': pearson is undefined for an input that is not"):
+            evaluate(records, SwssParams(beta=1.7e308), base=table)
 
     def test_counts_and_echo(self, records):
         report = evaluate(records, SwssParams())
@@ -547,6 +594,26 @@ class TestGridSearchOracle:
         # beta squared overflows in the screen; the points are re-checked.
         grid = singleton_grid(alpha1=(0.0, 0.2), beta=(0.5, 1.8869812124107707e168), omega=(0.0, 0.5))
         assert outcome(grid_search, records, grid, "bleu") == outcome(grid_search_per_record, records, grid, "bleu")
+
+    def test_beta_near_the_float_maximum_matches_bruteforce(self, records):
+        # The combined metric's sum leaves the float range in the re-check.
+        grid = singleton_grid(alpha1=(0.0, 0.2), beta=(1e308,), omega=(0.0, 0.5))
+        found = outcome(grid_search, records, grid, "bleu")
+        assert found == outcome(grid_search_per_record, records, grid, "bleu")
+        assert not isinstance(found, str)
+
+    @pytest.mark.parametrize("column", ["base", "human"])
+    def test_inputs_near_the_float_maximum_match_bruteforce(self, records, column):
+        values = [-1.7e308, 1.7e308, 1.7e308, 0.0, 1.0]
+        if column == "human":
+            records = [dataclasses.replace(r, human_score=values[i % 5]) for i, r in enumerate(records)]
+            base = "bleu"
+        else:
+            base = ExternalScoreTable("huge", {(r.system, r.segment_id): values[i % 5] for i, r in enumerate(records)})
+        grid = singleton_grid(alpha1=(0.0, 0.2), beta=(0.0, 0.5), omega=(0.0, 0.5))
+        found = outcome(grid_search, records, grid, base)
+        assert found == outcome(grid_search_per_record, records, grid, base)
+        assert not isinstance(found, str)
 
     def test_constant_base_at_beta_zero_raises_like_bruteforce(self, records):
         table = constant_table(records, 0.25)
@@ -1079,6 +1146,43 @@ class TestWorkerPool:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
 
+    @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records"])
+    @pytest.mark.parametrize("one", ["cpu", "below-thresholds"])
+    def test_one_process_opens_no_pipe_and_forks_nothing(self, monkeypatch, request, caplog, fixture, one):
+        records = request.getfixturevalue(fixture)
+        if one == "cpu":
+            force_fan_out(monkeypatch, 1)
+        else:
+            assert len(records) < harness._FAN_OUT_MIN_RECORDS
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        expected = (evaluate_per_record(records, SwssParams()), grid_search_per_record(records, self.GRID))
+        calls = Counter()
+
+        def refused(name):
+            def call(*args):
+                calls[name] += 1
+                raise OSError(errno.EPERM, f"{name} refused")
+
+            return call
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(os, "pipe", refused("pipe"))
+        monkeypatch.setattr(os, "fork", refused("fork"))
+        # One task each: one feature cache over every record, one sweep
+        # over the whole grid.
+        monkeypatch.setattr(harness, "_FeatureCache", counted("cache", harness._FeatureCache))
+        monkeypatch.setattr(harness, "_screen_sweep", counted("sweep", harness._screen_sweep))
+        with caplog.at_level(logging.WARNING):
+            assert (evaluate(records, SwssParams()).to_dict(), grid_search(records, self.GRID)) == expected
+        assert calls == {"cache": 2, "sweep": 1}
+        assert not [r for r in caplog.records if "could not start a worker process" in r.getMessage()]
+
     def test_runs_serially_in_a_daemonic_worker(self, monkeypatch, shared_records, tmp_path):
         expected = evaluate(shared_records, SwssParams()).to_dict()
         force_fan_out(monkeypatch)
@@ -1218,9 +1322,13 @@ class TestSplitScreen:
             with pytest.MonkeyPatch.context() as monkeypatch:
                 force_fan_out(monkeypatch, processes, ("screen",))
                 run_tasks = _fanout.forked_results
-                monkeypatch.setattr(
-                    _fanout, "forked_results", lambda run, count, n: counts.append(count) or run_tasks(run, count, n)
-                )
+
+                def counted(run, count, n):
+                    if n > 1:  # record scoring runs in one process here
+                        counts.append(count)
+                    return run_tasks(run, count, n)
+
+                monkeypatch.setattr(_fanout, "forked_results", counted)
                 assert harness._screen(columns, grid) == serial
                 assert outcome(grid_search, records, grid, base) == expected
             # A pair with fewer than two distinct human scores raises at
