@@ -5,9 +5,10 @@ scoring and the grid screen, so ``import swss`` does not load it. Each
 run of a phase splits its work into tasks and makes one
 ``forked_results`` call: the caller writes every task number into one
 pipe and forks; every process then takes task numbers until the pipe is
-empty, and each child sends its results back through a pipe of its own.
-With one process, the call opens no pipe, forks nothing and runs every
-task in the caller. This module imports nothing from ``swss``.
+empty, and each child sends back, through a pipe of its own, the results
+of every task that marshal can take. The caller runs any other task
+again, and with one process it opens no pipe, forks nothing and runs
+every task. This module imports nothing from ``swss``.
 """
 
 import itertools
@@ -17,7 +18,6 @@ import math
 import os
 import sys
 import threading
-import traceback
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, NoReturn, Optional, Sequence
 
@@ -72,54 +72,22 @@ def _take_tasks(queue: int, run: Callable[[int], Iterable]) -> dict:
     return done
 
 
-class _ChildTraceback(Exception):
-    """The traceback, as text, of an exception raised in a forked child:
-    the cause of the exception the calling process raises for it."""
-
-
-def _pickled(done: dict) -> bytes:
-    """``done`` and the traceback text of each exception that ended a
-    task, pickled; an exception that pickle cannot take is replaced by a
-    RuntimeError that carries its repr."""
-    import pickle  # only a task that raised needs it
-
-    tracebacks = {}
-    for n, items in done.items():
-        if items and isinstance(items[-1], Exception):
-            error = items[-1]
-            tracebacks[n] = "".join(traceback.format_exception(error))
-            try:
-                pickle.loads(pickle.dumps(error))
-            except Exception:
-                items[-1] = RuntimeError(f"a worker process raised an exception it could not send: {error!r}")
-    return pickle.dumps((done, tracebacks))
-
-
-def _unpickled(data: bytes) -> dict:
-    """What ``_pickled`` packed, each exception with its traceback text as
-    its cause."""
-    import pickle
-
-    done, tracebacks = pickle.loads(data)
-    for n, text in tracebacks.items():
-        done[n][-1].__cause__ = _ChildTraceback(text)
-    return done
-
-
 def _run_child(queue: int, send: int, run: Callable[[int], Iterable]) -> NoReturn:
-    """Run tasks from ``queue`` in a forked child, send their results into
-    the pipe ``send`` (with marshal, or with pickle when an unexpected
-    exception ended a task), and exit: never return into the caller's
-    frames."""
+    """Run tasks from ``queue`` in a forked child, send ``(task number,
+    results)`` of each into the pipe ``send``, marshalled one by one in a
+    marshalled list, and exit: never return into the caller's frames. A
+    task that raised, or whose results marshal cannot take, is not sent;
+    the caller runs it."""
     status = 1
     try:
-        done = _take_tasks(queue, run)
-        try:
-            data = b"m" + marshal.dumps(done)
-        except ValueError:  # an object marshal cannot take, such as an exception
-            data = b"p" + _pickled(done)
+        sent = []
+        for n, items in _take_tasks(queue, run).items():
+            try:
+                sent.append(marshal.dumps((n, items)))
+            except ValueError:  # an object marshal cannot take, such as an exception
+                pass
         with open(send, "wb") as pipe:
-            pipe.write(data)
+            pipe.write(marshal.dumps(sent))
         status = 0
     finally:
         os._exit(status)
@@ -129,10 +97,11 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
     """``_task_results(run, n)`` for every task n in ``range(count)``, run
     by this process and up to ``processes - 1`` forked children, each
     taking tasks from one pipe until it is empty. A task's items reach the
-    caller as marshal or pickle rebuilds them; an exception raised in a
-    child has that child's traceback text as its cause. With one process
-    or one task, and where a pipe or a fork fails, the processes already
-    there run every task. No child outlives the call."""
+    caller as marshal rebuilds them. Every task is deterministic, so each
+    one that no process sent (one that raised in a child, or whose items
+    marshal cannot take) is run here once every child is reaped: with one
+    process or one task, every task. Where a pipe or a fork fails, the
+    processes already there take every task. No child outlives the call."""
     queue = None
     children: dict[int, Optional[BinaryIO]] = {}  # pid: its result pipe, None once reaped
     try:
@@ -157,10 +126,7 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
             logger.warning("could not start a worker process (%s); running with %d process(es)", exc, len(children) + 1)
         # The tasks' inputs reach the children through the fork; only
         # results come back through a pipe.
-        if queue is None:
-            done = {n: _task_results(run, n) for n in range(count)}
-        else:
-            done = _take_tasks(queue, run)
+        done = {} if queue is None else _take_tasks(queue, run)
         for pid, pipe in children.items():
             data = pipe.read()
             pipe.close()
@@ -169,7 +135,7 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
             if code:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
                 raise RuntimeError(f"worker process {pid} {how} before it sent its results")
-            done.update(marshal.loads(memoryview(data)[1:]) if data[:1] == b"m" else _unpickled(data[1:]))
+            done.update(marshal.loads(task) for task in marshal.loads(data))
     finally:
         if queue is not None:
             os.close(queue)
@@ -180,7 +146,7 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return [done[n] for n in range(count)]
+    return [done[n] if n in done else _task_results(run, n) for n in range(count)]
 
 
 def partition(records: Sequence, count: int) -> list[list[int]]:

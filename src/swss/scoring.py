@@ -190,6 +190,14 @@ def f1_score(
         return 0.0, 0.0, params.omega, True
     p_num, p_den = clipped_match(candidate, reference, params.weight)
     r_num, r_den = clipped_match(reference, candidate, params.weight)
+    if math.isinf(p_den) or math.isinf(r_den):
+        # Weights near the float maximum overflowed a total; scaled by a
+        # power of two, which is exact, they give the same ratios.
+        def scaled(category: Category) -> float:
+            return math.ldexp(params.weight(category), -64)
+
+        p_num, p_den = clipped_match(candidate, reference, scaled)
+        r_num, r_den = clipped_match(reference, candidate, scaled)
     precision = p_num / p_den
     recall = r_num / r_den
     if precision + recall == 0.0:

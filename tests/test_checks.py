@@ -1,6 +1,6 @@
 """Checks on the checks: the mutation table still points at live code,
-the oracles share no private code with the library, and the fork
-primitive's module imports nothing from it."""
+the oracles and scripts share no private code with the library, and the
+fork primitive's module imports nothing from it."""
 
 import ast
 import importlib.util
@@ -80,6 +80,10 @@ class TestOracleIndependence:
     def test_oracles_import_no_private_library_name(self):
         source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
         assert set(private_swss_names(source)) <= ALLOWED_PRIVATE
+
+    @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda path: path.name)
+    def test_scripts_import_no_private_library_name(self, script):
+        assert private_swss_names(script.read_text(encoding="utf-8")) == []
 
     @pytest.mark.parametrize(
         "source",

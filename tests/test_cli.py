@@ -49,6 +49,18 @@ class TestScore:
         assert code == 0
         assert json.loads(out)["swss"] == 1.0
 
+    def test_weights_near_the_float_maximum_give_finite_json(self, capsys, tmp_path, figure_xml_path, figure_json_path):
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"category_weights": {code: 1e308 for code in "ACPS"}}))
+        pair = (str(figure_xml_path), str(figure_json_path))
+        code, out, _ = run(capsys, "score", *pair, "--params", str(params_path))
+        assert code == 0
+
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert json.loads(out, parse_constant=not_json) == json.loads(run(capsys, "score", *pair)[1])
+
     def test_malformed_input_exits_one_and_names_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.xml"
         bad.write_text("<root><layer")

@@ -31,7 +31,7 @@ from swss.cli import main
 from swss.errors import DatasetError, GraphError
 from swss.harness import ABLATIONS, TuneGrid, apply_ablation, evaluate, grid_search, load_dataset, pearson
 from swss.lexical import ExternalScoreTable, sentence_bleu
-from swss.scoring import SwssParams, score_from_features, swss
+from swss.scoring import SwssParams, swss
 from swss.synthetic import mutate_tokens, random_graph, write_synthetic_dataset
 from swss.ucca_graph import emit_json, load_graph
 
@@ -675,6 +675,10 @@ def corrupt_shared_records(tmp_path_factory):
     return records
 
 
+class Score(float):
+    """A score that marshal cannot take, and pickle can."""
+
+
 def random_table(records):
     rng = random.Random(3)
     return ExternalScoreTable(metric_name="meteor", rows={(r.system, r.segment_id): rng.random() for r in records})
@@ -937,12 +941,12 @@ def evaluate_in_a_worker(records):
     return evaluate(records, SwssParams()).to_dict()
 
 
-def run_phase(phase, records):
+def run_phase(phase, records, base="bleu"):
     """The output of a run that reaches ``phase``: the evaluate report to
     score, or the tuned parameters and objective to screen."""
     if phase == "score":
-        return evaluate(records, SwssParams()).to_dict()
-    return grid_search(records, TestSharedFiles.GRID)
+        return evaluate(records, SwssParams(), base=base).to_dict()
+    return grid_search(records, TestSharedFiles.GRID, base=base)
 
 
 def run_forced_fan_out(script, manifest):
@@ -1056,40 +1060,74 @@ class TestWorkerPool:
             pid, index = map(int, line.split())
             order.setdefault(pid, []).append(index)
         assert len(order) == 2
-        (scored_0,) = (indices for indices in order.values() if 0 in indices)
-        # That process scored another task first, and record 0's task last.
-        assert scored_0[0] != 0 and set(scored_0[scored_0.index(0):]) <= set(tasks[0])
-
-    def test_worker_traceback_is_the_cause_of_an_unexpected_error(self, monkeypatch, fan_out, shared_records):
-        caller = os.getpid()
-        fan_out()
-        for in_child in (True, False):
-
-            def broken(candidate, reference, params):
-                if (os.getpid() != caller) == in_child:
-                    raise TypeError("boom")
-                return score_from_features(candidate, reference, params)
-
-            monkeypatch.setattr(harness, "score_from_features", broken)
-            with pytest.raises(TypeError, match="^boom$") as info:
-                evaluate(shared_records, SwssParams())
-            own = "".join(traceback.format_tb(info.value.__traceback__))
-            if in_child:
-                # The child's frames come as the cause, as text.
-                assert "in _score_record" in str(info.value.__cause__) and "in _score_record" not in own
-            else:
-                assert info.value.__cause__ is None and "in _score_record" in own
+        # A process that scored record 0 scored another task first, and
+        # record 0's task last; the caller scores it again if a child's
+        # run of it raised.
+        scored_0 = [indices for indices in order.values() if 0 in indices]
+        assert scored_0
+        for indices in scored_0:
+            assert indices[0] != 0 and set(indices[indices.index(0):]) <= set(tasks[0])
 
     @pytest.mark.parametrize("phase", PHASES)
-    def test_exception_a_child_cannot_send_comes_as_its_repr(self, monkeypatch, fan_out, shared_records, phase):
-        def child(n, step):
-            raise TypeError(threading.Lock())  # a lock cannot be pickled
+    def test_fault_in_every_process_raises_like_the_serial_run(self, monkeypatch, fan_out, shared_records, phase):
+        # Each record's fault, or each grid point's, has its own message.
+        if phase == "score":
 
-        fan_out(child=child, phase=phase)
-        with pytest.raises(RuntimeError, match=r"could not send: TypeError\(<unlocked _thread.lock object") as info:
-            run_phase(phase, shared_records)
-        # The child's frames come as the cause, as text.
-        assert "in child" in str(info.value.__cause__)
+            def broken(candidate, reference, params):
+                raise TypeError(f"boom at {' '.join(candidate.tokens)}")
+
+            monkeypatch.setattr(harness, "score_from_features", broken)
+        else:
+
+            def broken(sums, beta, omega):
+                raise TypeError(f"boom at {sums[0][1]!r}")
+
+            monkeypatch.setattr(harness, "_estimate", broken)
+        serial = result_or_error(run_phase, phase, shared_records)
+        assert serial[0] is TypeError
+        # The caller takes no task until the child has begun one, so the
+        # child's fault comes first in task order.
+        caller, (began, begin) = os.getpid(), os.pipe()
+        fan_out(child=lambda n, step: os.write(begin, b"x"), phase=phase)
+        take_tasks = _fanout._take_tasks
+
+        def take_tasks_later(queue, run):
+            if os.getpid() == caller:
+                select.select([began], [], [], 10)
+            return take_tasks(queue, run)
+
+        monkeypatch.setattr(_fanout, "_take_tasks", take_tasks_later)
+        try:
+            with pytest.raises(TypeError) as info:
+                run_phase(phase, shared_records)
+            assert select.select([began], [], [], 0)[0]
+        finally:
+            os.close(began)
+            os.close(begin)
+        assert (type(info.value), str(info.value)) == serial
+        # Raised in the caller's own frames, not rebuilt from a child's.
+        assert info.value.__cause__ is None
+        own = "".join(traceback.format_tb(info.value.__traceback__))
+        assert f"in {'_score_record' if phase == 'score' else '_screen_sweep'}" in own
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_fault_only_in_children_gives_the_serial_output(self, fan_out, shared_records, phase):
+        serial = run_phase(phase, shared_records)
+
+        def child(n, step):
+            raise TypeError(threading.Lock())  # neither marshal nor pickle can take a lock
+
+        pids = fan_out(child=child, phase=phase)
+        assert run_phase(phase, shared_records) == serial
+        assert len(pids) == 1
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_scores_of_a_float_subclass_give_the_serial_report(self, fan_out, shared_records, phase):
+        table = random_table(shared_records)
+        table = ExternalScoreTable(table.metric_name, {key: Score(value) for key, value in table.rows.items()})
+        serial = run_phase(phase, shared_records, table)
+        fan_out(phase=phase)
+        assert run_phase(phase, shared_records, table) == serial
 
     @pytest.mark.parametrize(
         "phase, death, message",
@@ -1236,18 +1274,30 @@ class TestWorkerPool:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
         # Nor does a run that forks children, to score or to screen; the
-        # results come back without pickle.
+        # results come back without pickle, also when a child's task
+        # raises (the caller's first record waits until one has).
         script = (
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
             "records = load_dataset(sys.argv[1])\n"
             "evaluate(records, SwssParams())\n"
             "grid_search(records, GRID)\n"
-            "print(len(forks), sorted({'multiprocessing', 'concurrent.futures', 'pickle'} & set(sys.modules)))\n"
+            "raised, raising = os.pipe()\n"
+            "score = harness.score_from_features\n"
+            "def broken(*args):\n"
+            "    if os.getpid() != caller:\n"
+            "        os.write(raising, b'x')\n"
+            "        raise TypeError('boom')\n"
+            "    select.select([raised], [], [], 10)\n"
+            "    return score(*args)\n"
+            "harness.score_from_features = broken\n"
+            "evaluate(records, SwssParams())\n"
+            "print(len(forks), bool(select.select([raised], [], [], 0)[0]),\n"
+            "      sorted({'multiprocessing', 'concurrent.futures', 'pickle'} & set(sys.modules)))\n"
         )
         result = run_forced_fan_out(script, write_synthetic_dataset(tmp_path, n_segments=12, seed=4))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "3 []"
+        assert result.stdout.strip() == "4 True []"
 
     @pytest.mark.parametrize("phase", PHASES)
     @pytest.mark.parametrize("call", ["fork", "pipe"])
@@ -1334,6 +1384,27 @@ class TestSplitScreen:
             # A pair with fewer than two distinct human scores raises at
             # every point, and the screen returns the first one unswept.
             assert bool(counts) != any(len(set(pair.human)) < 2 for pair in columns.values())
+
+    def test_each_task_is_swept_once(self, monkeypatch, fan_out, records, tmp_path):
+        # The caller sweeps again only a task that no process sent.
+        grid = TestSharedFiles.GRID
+        fan_out(phase="screen")
+        log, sweep = tmp_path / "sweeps", harness._screen_sweep
+
+        def logged(pairs, grid, prefix):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {prefix}\n")
+            return sweep(pairs, grid, prefix)
+
+        monkeypatch.setattr(harness, "_screen_sweep", logged)
+        grid_search(records, grid)
+        lines = log.read_text(encoding="utf-8").splitlines()
+        pids = Counter(line.split(" ", 1)[0] for line in lines)
+        tasks = Counter(line.split(" ", 1)[1] for line in lines)
+        sizes = (len(grid.alpha1), len(grid.alpha2), len(grid.alpha3), len(grid.alpha4))
+        count = len(_fanout.screen_tasks(sizes, _fanout.task_count(2, _fanout.MAX_TASKS // 2)))
+        assert len(pids) == 2 and str(os.getpid()) in pids
+        assert len(tasks) == count and set(tasks.values()) == {1}
 
     def test_rechecks_as_many_points_as_serial_screen(self, monkeypatch, records, caplog):
         grid = TuneGrid(

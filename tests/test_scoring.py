@@ -303,6 +303,17 @@ class TestSwss:
         params = SwssParams(category_weights={Category.PROCESS: 2.5, Category.CENTER: 0.5})
         assert swss(candidate, reference, params).swss == swss(reference, candidate, params).swss
 
+    @given(st.integers(min_value=0, max_value=5_000))
+    def test_weights_near_the_float_maximum_act_like_equal_weights(self, seed):
+        # Two such words already overflow a total.
+        candidate, reference = random_pair(random.Random(seed))
+        huge = SwssParams(category_weights={category: 2.0**1023 for category in Category})
+        for first, second in ((candidate, reference), (reference, candidate)):
+            got, expected = swss(first, second, huge), swss(first, second)
+            assert (got.precision, got.recall, got.f1, got.swss) == (
+                expected.precision, expected.recall, expected.f1, expected.swss,
+            )
+
     @given(st.integers(min_value=0, max_value=5_000), st.sampled_from(["alpha1", "alpha2", "alpha3", "alpha4"]))
     def test_increasing_any_alpha_weakly_decreases_score(self, seed, name):
         candidate, reference = random_pair(random.Random(seed))
