@@ -11,12 +11,21 @@ checks of the evaluate/tune workflow:
 """
 
 import argparse
+import sys
 
 from swss.synthetic import write_synthetic_dataset
 
 
+class Parser(argparse.ArgumentParser):
+    # A usage mistake is an input error: exit 1, as ``swss`` does, not
+    # argparse's 2, which the project keeps for internal errors.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--segments", type=int, default=50)
     parser.add_argument("--lang-pairs", default="aa-en,bb-en", help="comma-separated pair names")

@@ -236,12 +236,26 @@ MUTATIONS = (
         "            if True:\n",
         (f"{WORKER_POOL}::test_one_process_opens_no_pipe_and_forks_nothing",),
     ),
-    Mutation(
+    Mutation(  # a dead child's pipe data is decoded
         "fan-out-dead-child-unnoticed",
         FANOUT,
-        "            if code:\n",
+        "            if code:  # a dead child's pipe holds no whole list: its tasks run here\n",
         "            if False:\n",
-        (f"{WORKER_POOL}::test_dead_child_raises", f"{WORKER_POOL}::test_no_child_outlives_the_call"),
+        (f"{WORKER_POOL}::test_dead_child_gives_the_serial_output",),
+    ),
+    Mutation(
+        "tune-out-writes-the-stdout-payload",
+        "src/swss/cli.py",
+        '_write_out(payload["params"], args.out)',
+        "_write_out(payload, args.out)",
+        ("tests/test_cli.py::TestTune::test_out_file_is_what_evaluate_params_reads",),
+    ),
+    Mutation(  # only the relation tests catch this one
+        "pearson-mean-by-ordered-sum",
+        HARNESS,
+        "    mean = math.fsum(values) / len(values)\n",
+        "    mean = sum(values) / len(values)\n",
+        ("tests/test_harness.py::TestRelations",),
     ),
     Mutation(
         "stem-memo-unbounded",

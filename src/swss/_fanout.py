@@ -7,8 +7,8 @@ run of a phase splits its work into tasks and makes one
 pipe and forks; every process then takes task numbers until the pipe is
 empty, and each child sends back, through a pipe of its own, the results
 of every task that marshal can take. The caller runs any other task
-again, and with one process it opens no pipe, forks nothing and runs
-every task. This module imports nothing from ``swss``.
+again, a dead child's included; with one process it opens no pipe, forks
+nothing and runs every task. This module imports nothing from ``swss``.
 """
 
 import itertools
@@ -97,11 +97,11 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
     """``_task_results(run, n)`` for every task n in ``range(count)``, run
     by this process and up to ``processes - 1`` forked children, each
     taking tasks from one pipe until it is empty. A task's items reach the
-    caller as marshal rebuilds them. Every task is deterministic, so each
-    one that no process sent (one that raised in a child, or whose items
-    marshal cannot take) is run here once every child is reaped: with one
-    process or one task, every task. Where a pipe or a fork fails, the
-    processes already there take every task. No child outlives the call."""
+    caller as marshal rebuilds them. Each task is deterministic, so one
+    that no process sent (it raised, marshal cannot take its items, or its
+    child died: that logs a WARNING) runs here once every child is reaped:
+    with one process or one task, every task. Where a pipe or a fork fails,
+    the processes already there take every task. No child outlives the call."""
     queue = None
     children: dict[int, Optional[BinaryIO]] = {}  # pid: its result pipe, None once reaped
     try:
@@ -124,17 +124,17 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
                     children[pid] = os.fdopen(result, "rb")
         except OSError as exc:
             logger.warning("could not start a worker process (%s); running with %d process(es)", exc, len(children) + 1)
-        # The tasks' inputs reach the children through the fork; only
-        # results come back through a pipe.
+        # Inputs reach the children through the fork; results come back by pipe.
         done = {} if queue is None else _take_tasks(queue, run)
         for pid, pipe in children.items():
             data = pipe.read()
             pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children[pid] = None
-            if code:
+            if code:  # a dead child's pipe holds no whole list: its tasks run here
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                raise RuntimeError(f"worker process {pid} {how} before it sent its results")
+                logger.warning("worker process %d %s; running its tasks here", pid, how)
+                continue
             done.update(marshal.loads(task) for task in marshal.loads(data))
     finally:
         if queue is not None:

@@ -141,7 +141,7 @@ def cmd_tune(args) -> int:
         best, objective = grid_search(records, grid, base=base, strict=args.strict)
     payload = {"params": best.to_dict(), "objective": objective, "grid_size": grid.size}
     print(json.dumps(payload, indent=2, sort_keys=True))
-    _write_out(payload, args.out)
+    _write_out(payload["params"], args.out)
     return 0
 
 
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--grid", required=True, help="JSON file with per-parameter value lists")
     tune.add_argument("--base", default="bleu", help="base metric: 'bleu' or 'tsv:PATH'")
     tune.add_argument("--strict", action="store_true", help="abort on invalid UCCA parses instead of skipping")
-    tune.add_argument("--out", help="write the best parameters here")
+    tune.add_argument("--out", help="write the best parameters here, as a file that --params reads")
     tune.set_defaults(func=cmd_tune)
 
     inspect = sub.add_parser("inspect", help="summarize one UCCA file")

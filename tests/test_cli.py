@@ -3,11 +3,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swss
 from conftest import ODD_VALUES, mutate_bytes, mutate_json
 from swss.cli import main
 from swss.harness import ABLATIONS, load_dataset
@@ -205,10 +210,32 @@ class TestTune:
         out_path = tmp_path / "best.json"
         code, out, _ = run(capsys, "tune", str(corpus), "--grid", str(grid), "--out", str(out_path))
         assert code == 0
-        payload = json.loads(out_path.read_text())
+        payload = json.loads(out)
         assert payload["grid_size"] == 1
         assert payload["params"]["beta"] == 0.2
-        assert json.loads(out) == payload
+        assert json.loads(out_path.read_text()) == payload["params"]
+
+    @pytest.mark.parametrize("base", ["bleu", "tsv"])
+    def test_out_file_is_what_evaluate_params_reads(self, capsys, tmp_path, base):
+        # The paper's step from tuning on dev data to evaluating with the
+        # tuned parameters: the objective is the average evaluate reports.
+        manifest = write_synthetic_dataset(tmp_path, n_segments=12, lang_pairs=("aa-en", "bb-en"), seed=3, noise=0.02)
+        options = []
+        if base == "tsv":
+            table = tmp_path / "base.tsv"
+            table.write_text(
+                "".join(f"{r.system}\t{r.segment_id}\t{(7 * r.segment_id % 11) / 11}\n" for r in load_dataset(manifest))
+            )
+            options = ["--base", f"tsv:{table}"]
+        grid = self.grid_file(tmp_path, {"alpha1": [0.0, 0.5], "beta": [0.1, 0.5], "omega": [0.0, 0.5]})
+        best = tmp_path / "best.json"
+        code, out, err = run(capsys, "tune", str(manifest), "--grid", str(grid), "--out", str(best), *options)
+        assert code == 0, err
+        tuned = json.loads(out)
+        report = tmp_path / "report.json"
+        code, _, err = run(capsys, "evaluate", str(manifest), "--params", str(best), "--out", str(report), *options)
+        assert code == 0, err
+        assert json.loads(report.read_text())["average"] == tuned["objective"]
 
     def test_deterministic_across_runs(self, capsys, tmp_path, corpus):
         grid = self.grid_file(tmp_path, {"beta": [0.05, 0.2], "omega": [0.0, 0.5]})
@@ -478,3 +505,22 @@ class TestAblationLadder:
         params.write_text("[1, 2]")
         code, _, err = run(capsys, "evaluate", str(corpus), "--ablation", "all", "--params", str(params))
         self.assert_input_error(code, err, "must hold a JSON object")
+
+
+class TestSyntheticDatasetScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic_dataset.py"
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["--bogus"], 1), ([], 1), (["--segments", "4"], 0)], ids=["unknown-option", "no-out", "valid"]
+    )
+    def test_usage_error_exits_one(self, tmp_path, argv, code):
+        out = [] if argv == [] else ["--out", str(tmp_path / "corpus")]
+        env = {**os.environ, "PYTHONPATH": str(Path(swss.__file__).parent.parent)}
+        result = subprocess.run(
+            [sys.executable, str(self.SCRIPT), *argv, *out], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stderr.startswith("usage: ") and ": error: " in result.stderr
+        else:
+            assert Path(result.stdout.strip()).is_file()

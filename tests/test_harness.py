@@ -949,10 +949,14 @@ def run_phase(phase, records, base="bleu"):
     return grid_search(records, TestSharedFiles.GRID, base=base)
 
 
+# The grid of ``run_forced_fan_out``'s scripts.
+FORCED_GRID = {"alpha1": (0.0, 0.5), "alpha2": (0.0, 1.0), "beta": (0.1, 0.5)}
+
+
 def run_forced_fan_out(script, manifest):
     """Run ``script`` in a fresh interpreter that forces a two-process
-    fan-out of both phases, with ``caller`` set to its pid, ``GRID`` to a
-    small grid and the manifest path as ``sys.argv[1]``."""
+    fan-out of both phases, with ``caller`` set to its pid, ``GRID`` to
+    ``FORCED_GRID`` and the manifest path as ``sys.argv[1]``."""
     setup = (
         "import os, select, signal, sys\n"
         "from swss import harness\n"
@@ -962,7 +966,7 @@ def run_forced_fan_out(script, manifest):
         "harness._FAN_OUT_MIN_RECORDS = 1\n"
         "harness._FAN_OUT_MIN_SCREEN_WORK = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "GRID = TuneGrid(alpha1=(0.0, 0.5), alpha2=(0.0, 1.0), beta=(0.1, 0.5))\n"
+        f"GRID = TuneGrid(**{FORCED_GRID!r})\n"
         "caller = os.getpid()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parent.parent)}
@@ -1139,32 +1143,40 @@ class TestWorkerPool:
         ],
         ids=["exit", "signal", "screen-exit", "screen-signal"],
     )
-    def test_dead_child_raises(self, tmp_path, phase, death, message):
-        # The child dies at its first step of the phase, and the caller's
-        # first step waits until it has begun one.
+    def test_dead_child_gives_the_serial_output(self, tmp_path, phase, death, message):
+        # The first child to reach a step of the phase dies there, and the
+        # caller's first step waits until it has; later children see that
+        # one died and live. The run evaluates, then tunes.
+        manifest = write_synthetic_dataset(tmp_path, n_segments=12, seed=4)
         step = STEP_OF_PHASE[phase]
         script = (
             "began, begin = os.pipe()\n"
             f"step = harness.{step}\n"
             "def stepped(*args):\n"
-            "    if os.getpid() != caller:\n"
+            "    if os.getpid() != caller and not select.select([began], [], [], 0)[0]:\n"
             "        os.write(begin, b'x')\n"
             f"        {death}\n"
             "    select.select([began], [], [], 10)\n"
             "    return step(*args)\n"
             f"harness.{step} = stepped\n"
-            "grid_search(load_dataset(sys.argv[1]), GRID)\n"
+            "records = load_dataset(sys.argv[1])\n"
+            "print(repr((evaluate(records, SwssParams()).to_dict(), grid_search(records, GRID))))\n"
         )
-        result = run_forced_fan_out(script, write_synthetic_dataset(tmp_path, n_segments=12, seed=4))
-        assert result.returncode == 1
-        last = result.stderr.strip().splitlines()[-1]
-        assert re.fullmatch(rf"RuntimeError: worker process \d+ {message} before it sent its results", last)
+        result = run_forced_fan_out(script, manifest)
+        assert result.returncode == 0, result.stderr
+        records = load_dataset(manifest)
+        serial = (evaluate(records, SwssParams()).to_dict(), grid_search(records, TuneGrid(**FORCED_GRID)))
+        assert result.stdout.strip() == repr(serial)
+        (warning,) = result.stderr.splitlines()
+        assert re.fullmatch(rf"worker process \d+ {message}; running its tasks here", warning)
 
     @pytest.mark.parametrize(
         "phase, where", [("score", "caller"), ("score", "merge"), ("screen", "caller"), ("screen", "merge")],
         ids=["caller", "merge", "screen-caller", "screen-merge"],
     )
-    def test_no_child_outlives_the_call(self, fan_out, shared_records, phase, where):
+    def test_no_child_outlives_the_call(self, monkeypatch, fan_out, shared_records, phase, where):
+        # An interrupt in the caller's own tasks, or once it has reaped a
+        # dead child and waits on a sleeping one's pipe.
         def child(n, step):
             if where == "merge" and n == 0:
                 os._exit(3)
@@ -1175,9 +1187,26 @@ class TestWorkerPool:
                 raise KeyboardInterrupt
 
         pids = fan_out(processes=2 if where == "caller" else 3, child=child, caller=caller, phase=phase)
+        take_tasks, parent = _fanout._take_tasks, os.getpid()
+
+        def take_tasks_then_interrupt(queue, run):
+            done = take_tasks(queue, run)
+            if os.getpid() == parent:
+                signal.setitimer(signal.ITIMER_REAL, 0.2)
+            return done
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_fanout, "_take_tasks", take_tasks_then_interrupt)
+        handler = signal.signal(signal.SIGALRM, interrupt)
         started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt if where == "caller" else RuntimeError):
-            run_phase(phase, shared_records)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_phase(phase, shared_records)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
         assert time.monotonic() - started < 30
         assert len(pids) == (1 if where == "caller" else 2)
         for pid in pids:
@@ -1433,3 +1462,58 @@ class TestSplitScreen:
             parts = [*task, *[slice(None)] * (len(sizes) - len(task))]
             swept += itertools.product(*(range(size)[part] for size, part in zip(sizes, parts)))
         assert swept == list(itertools.product(*map(range, sizes)))
+
+
+@pytest.fixture(scope="module")
+def relation_records(tmp_path_factory):
+    """A synthetic corpus in three language pairs with one corrupt
+    candidate and one empty reference, so that two records are skipped."""
+    manifest = write_synthetic_dataset(
+        tmp_path_factory.mktemp("relations"), n_segments=36, lang_pairs=("aa-en", "bb-en", "cc-en"), seed=12, noise=0.02
+    )
+    records = load_dataset(manifest)
+    records[4].candidate_ucca.write_text("{not json")
+    records[7].reference_ucca.write_bytes(b"")
+    return records
+
+
+def relation_outputs(records):
+    """The evaluate report of every ablation, and the tuned point."""
+    reports = harness._reports(records, SwssParams(), "bleu", ABLATIONS, False)
+    return [report.to_dict() for report in reports], grid_search(records, TestSharedFiles.GRID)
+
+
+class TestRelations:
+    """Metamorphic relations: changes to the records whose effect on the
+    output is known exactly, serial and fanned out. Every sum that an
+    output depends on is exactly rounded or re-checked, so they hold bit
+    for bit."""
+
+    @pytest.fixture(scope="class")
+    def expected(self, relation_records):
+        reports, tuned = relation_outputs(relation_records)
+        assert reports[0]["skipped"] == 2
+        return reports, tuned
+
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    @settings(max_examples=10, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_record_order_changes_nothing(self, relation_records, expected, fanned, rng):
+        records = list(relation_records)
+        rng.shuffle(records)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if fanned:
+                force_fan_out(monkeypatch)
+            assert relation_outputs(records) == expected
+
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    def test_every_record_twice_doubles_only_the_counts(self, relation_records, expected, fanned):
+        reports, tuned = expected
+        doubled = [
+            {**report, "n": {pair: 2 * n for pair, n in report["n"].items()}, "skipped": 2 * report["skipped"]}
+            for report in reports
+        ]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if fanned:
+                force_fan_out(monkeypatch)
+            assert relation_outputs(relation_records * 2) == (doubled, tuned)
