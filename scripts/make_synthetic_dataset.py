@@ -27,21 +27,24 @@ class Parser(argparse.ArgumentParser):
 def main() -> None:
     parser = Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--segments", type=int, default=50)
+    parser.add_argument("--segments", type=int, default=50, help="number of records, at least 1")
     parser.add_argument("--lang-pairs", default="aa-en,bb-en", help="comma-separated pair names")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--beta", type=float, default=0.2, help="true combination weight in the labels")
     parser.add_argument("--noise", type=float, default=0.01, help="stddev of Gaussian label noise")
     args = parser.parse_args()
 
-    manifest = write_synthetic_dataset(
-        args.out,
-        n_segments=args.segments,
-        lang_pairs=tuple(args.lang_pairs.split(",")),
-        seed=args.seed,
-        beta_true=args.beta,
-        noise=args.noise,
-    )
+    try:
+        manifest = write_synthetic_dataset(
+            args.out,
+            n_segments=args.segments,
+            lang_pairs=tuple(args.lang_pairs.split(",")),
+            seed=args.seed,
+            beta_true=args.beta,
+            noise=args.noise,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     print(manifest)
 
 

@@ -81,8 +81,8 @@ MUTATIONS = (
     Mutation(
         "ablation-reports-read-unablated-params",
         HARNESS,
-        "    for effective in ablated:\n",
-        "    for effective in [params for _ in ablated]:\n",
+        "for effective in ablated]",
+        "for effective in [params for _ in ablated]]",
         (f"{SHARED_FILES}::test_ablation_ladder_matches_single_runs_and_oracle",),
     ),
     Mutation(
@@ -249,6 +249,34 @@ MUTATIONS = (
         '_write_out(payload["params"], args.out)',
         "_write_out(payload, args.out)",
         ("tests/test_cli.py::TestTune::test_out_file_is_what_evaluate_params_reads",),
+    ),
+    Mutation(
+        "tune-report-of-the-default-point",
+        HARNESS,
+        "    return _report(correlations, skipped, SwssParams(*vector), base)\n",
+        "    return _report(_correlations(columns, SwssParams()), skipped, SwssParams(*vector), base)\n",
+        ("tests/test_cli.py::TestTune::test_out_file_is_what_evaluate_params_reads",),
+    ),
+    Mutation(
+        "reader-keeps-the-byte-order-mark",
+        "src/swss/errors.py",
+        'open(path, encoding="utf-8-sig")',
+        'open(path, encoding="utf-8")',
+        ("tests/test_cli.py::TestByteOrderMark",),
+    ),
+    Mutation(
+        "synthetic-count-unchecked",
+        "src/swss/synthetic.py",
+        "    if n_segments < 1:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestSyntheticDatasetScript::test_usage_error_exits_one",),
+    ),
+    Mutation(  # of the relations, only the swap catches this one
+        "length-penalty-of-the-candidate-alone",
+        "src/swss/scoring.py",
+        "len_penalty = (candidate_stats.tokens + reference_stats.tokens) / 2",
+        "len_penalty = candidate_stats.tokens",
+        ("tests/test_harness.py::TestRelations::test_swapping_candidate_and_reference_changes_nothing",),
     ),
     Mutation(  # only the relation tests catch this one
         "pearson-mean-by-ordered-sum",

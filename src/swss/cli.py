@@ -13,8 +13,8 @@ import logging
 import sys
 import traceback
 
-from .errors import DatasetError, SwssError
-from .harness import ABLATIONS, TuneGrid, _reports, grid_search, load_dataset
+from .errors import DatasetError, SwssError, _decode_json, _read_lines
+from .harness import ABLATIONS, TuneGrid, _reports, _tuned, load_dataset
 from .lexical import load_external_scores
 from .scoring import GraphFeatures, SwssParams, swss
 from .ucca_graph import load_graph
@@ -32,13 +32,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_json_object(path, kind: str, from_dict):
     """Read a JSON object from ``path`` and build it with ``from_dict``;
     every error names the file."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            data = json.load(handle)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from None
-    except RecursionError:
-        raise ValueError(f"{path}: malformed JSON: nested too deeply") from None
+    data = _decode_json("".join(_read_lines(path, f"{kind} file")), ValueError, path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: {kind} file must hold a JSON object")
     try:
@@ -138,8 +132,13 @@ def cmd_tune(args) -> int:
     records = load_dataset(args.manifest)
     logger.info("tuning on %d records over %d grid points", len(records), grid.size)
     with _naming_dataset(args):
-        best, objective = grid_search(records, grid, base=base, strict=args.strict)
-    payload = {"params": best.to_dict(), "objective": objective, "grid_size": grid.size}
+        report = _tuned(records, grid, base, args.strict)
+    payload = {
+        "params": report.params.to_dict(),
+        "objective": report.average,
+        "grid_size": grid.size,
+        "report": report.to_dict(),
+    }
     print(json.dumps(payload, indent=2, sort_keys=True))
     _write_out(payload["params"], args.out)
     return 0
@@ -221,7 +220,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SwssError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SwssError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

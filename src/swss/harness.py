@@ -9,7 +9,6 @@ scores within each language pair, averaged with equal weight per pair.
 
 import functools
 import itertools
-import json
 import logging
 import math
 import operator
@@ -19,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .errors import DatasetError, GraphError
+from .errors import DatasetError, GraphError, _decode_json, _read_lines
 from .lexical import ExternalScoreTable, sentence_bleu
 from .scoring import GraphFeatures, SwssParams, penalized_score, score_from_features
 from .ucca_graph import load_graph
@@ -106,28 +105,17 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
     every referenced file must exist.
     """
     manifest = Path(manifest)
-    if not manifest.is_file():
-        raise DatasetError(f"manifest not found: {manifest}")
+    lines = _read_lines(manifest, "manifest")
     base_dir = manifest.parent
     records: list[SegmentRecord] = []
     # One Path per distinct name, shared by every record that names it,
     # and one lookup of each file; keyed by name, as a Path is slow to hash.
     path_of = functools.cache(base_dir.joinpath)
     is_file = functools.cache(lambda name: path_of(name).is_file())
-    try:
-        with open(manifest, encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{manifest}: not UTF-8 text: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            raise DatasetError(f"{manifest}:{lineno}: malformed JSON: {exc}") from None
-        except RecursionError:
-            raise DatasetError(f"{manifest}:{lineno}: malformed JSON: nested too deeply") from None
+        obj = _decode_json(line, DatasetError, manifest, lineno)
         if not isinstance(obj, dict):
             raise DatasetError(f"{manifest}:{lineno}: expected a JSON object")
         unknown = set(obj) - set(_MANIFEST_FIELDS)
@@ -408,6 +396,24 @@ def _mean(values) -> float:
     return math.fsum(values) / len(values)
 
 
+def _report(
+    correlations: tuple, skipped: int, params: SwssParams, base: Union[str, ExternalScoreTable]
+) -> CorrelationReport:
+    """The report of ``params``, from what ``_correlations`` gave for them."""
+    per_pair, base_per_pair, counts = correlations
+    defined = [r for r in base_per_pair.values() if r is not None]
+    return CorrelationReport(
+        per_pair=per_pair,
+        base_per_pair=base_per_pair,
+        average=_mean(per_pair.values()),
+        base_average=_mean(defined) if len(defined) == len(base_per_pair) else None,
+        n=counts,
+        skipped=skipped,
+        params=params,
+        base_name=_base_name(base),
+    )
+
+
 def _reports(
     records: Sequence[SegmentRecord],
     params: Optional[SwssParams],
@@ -423,23 +429,7 @@ def _reports(
     params = params if params is not None else SwssParams()
     ablated = [apply_ablation(params, ablation) for ablation in ablations]
     columns, skipped = _prepare_segments(records, params, base, strict)
-    reports = []
-    for effective in ablated:
-        per_pair, base_per_pair, counts = _correlations(columns, effective)
-        defined = [r for r in base_per_pair.values() if r is not None]
-        reports.append(
-            CorrelationReport(
-                per_pair=per_pair,
-                base_per_pair=base_per_pair,
-                average=_mean(per_pair.values()),
-                base_average=_mean(defined) if len(defined) == len(base_per_pair) else None,
-                n=counts,
-                skipped=skipped,
-                params=effective,
-                base_name=_base_name(base),
-            )
-        )
-    return reports
+    return [_report(_correlations(columns, effective), skipped, effective, base) for effective in ablated]
 
 
 def evaluate(
@@ -686,22 +676,32 @@ def grid_search(
     (alpha1..alpha4, beta, omega) vector, and a point where the metric is
     constant in some language pair raises DatasetError.
     """
+    report = _tuned(records, grid, base, strict)
+    return report.params, report.average
+
+
+def _tuned(
+    records: Sequence[SegmentRecord], grid: TuneGrid, base: Union[str, ExternalScoreTable], strict: bool
+) -> CorrelationReport:
+    """``grid_search``'s argmax as ``evaluate``'s report of it, whose
+    ``average`` is the objective, from the columns the search prepared."""
     if not records:
         raise DatasetError("no records to tune on")
     logger.info("grid search over %d parameter points", grid.size)
-    columns, _ = _prepare_segments(records, SwssParams(), base, strict)
+    columns, skipped = _prepare_segments(records, SwssParams(), base, strict)
 
     candidates = _screen(columns, grid)
-    best_vector = None
+    best = None
     best_objective = -math.inf
     for vector in candidates:
-        per_pair, _, _ = _correlations(columns, SwssParams(*vector))
-        objective = _mean(per_pair.values())
+        correlations = _correlations(columns, SwssParams(*vector))
+        objective = _mean(correlations[0].values())
         if objective > best_objective:
             best_objective = objective
-            best_vector = vector
+            best = vector, correlations
     logger.info(
         "grid search finished; best objective %.6f (%d of %d points re-checked)",
         best_objective, len(candidates), grid.size,
     )
-    return SwssParams(*best_vector), best_objective
+    vector, correlations = best
+    return _report(correlations, skipped, SwssParams(*vector), base)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import DatasetError
+from .errors import DatasetError, _read_lines
 
 __all__ = ["ngram_profile", "sentence_bleu", "ExternalScoreTable", "load_external_scores"]
 
@@ -102,15 +102,8 @@ def load_external_scores(path, metric_name: str = "") -> ExternalScoreTable:
     """Load a score table from a headerless TSV with columns
     ``system<TAB>segment_id<TAB>score``."""
     path = Path(path)
-    if not path.is_file():
-        raise DatasetError(f"score table not found: {path}")
     rows: dict[tuple[str, int], float] = {}
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path, "score table"), start=1):
         line = line.rstrip("\n")
         if not line.strip():
             continue

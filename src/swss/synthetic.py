@@ -127,8 +127,11 @@ def write_synthetic_dataset(
 
     The base metric is the in-repo sentence BLEU over the graphs' tokens,
     so an evaluation run with that base should recover ``beta_true`` as
-    the best combination weight.
+    the best combination weight. A count below 1 raises ValueError, and
+    nothing is written.
     """
+    if n_segments < 1:
+        raise ValueError(f"the number of segments must be at least 1, got {n_segments}")
     rng = random.Random(seed)
     params = params if params is not None else SwssParams()
     dest = Path(dest)

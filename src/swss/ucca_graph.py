@@ -12,7 +12,6 @@ losslessly (see ``emit_json``).
 """
 
 import codecs
-import json
 import xml.etree.ElementTree as ElementTree
 from collections import defaultdict
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Union
 
-from .errors import GraphError
+from .errors import GraphError, _decode_json
 
 __all__ = [
     "Category",
@@ -441,13 +440,7 @@ def parse_ucca_json(document: Union[bytes, str], lenient: bool = False) -> UccaG
     "remote": bool}], "root": str}``. Terminals are addressed by 1-based
     position and get synthesized ids ``t1..tn``.
     """
-    try:
-        obj = json.loads(document)
-    except ValueError as exc:
-        raise GraphError(f"malformed JSON: {exc}") from None
-    except RecursionError:
-        raise GraphError("malformed JSON: nested too deeply") from None
-    return graph_from_dict(obj, lenient=lenient)
+    return graph_from_dict(_decode_json(document, GraphError), lenient=lenient)
 
 
 _DOCUMENT_KEYS = frozenset({"tokens", "nodes", "edges", "root"})

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import swss
 from conftest import ODD_VALUES, mutate_bytes, mutate_json
+from swss import harness
 from swss.cli import main
 from swss.harness import ABLATIONS, load_dataset
 from swss.synthetic import write_synthetic_dataset
@@ -229,13 +230,21 @@ class TestTune:
             options = ["--base", f"tsv:{table}"]
         grid = self.grid_file(tmp_path, {"alpha1": [0.0, 0.5], "beta": [0.1, 0.5], "omega": [0.0, 0.5]})
         best = tmp_path / "best.json"
-        code, out, err = run(capsys, "tune", str(manifest), "--grid", str(grid), "--out", str(best), *options)
+        prepared = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            prepare = harness._prepare_segments
+            monkeypatch.setattr(harness, "_prepare_segments", lambda *args: prepared.append(1) or prepare(*args))
+            code, out, err = run(capsys, "tune", str(manifest), "--grid", str(grid), "--out", str(best), *options)
         assert code == 0, err
+        assert len(prepared) == 1
         tuned = json.loads(out)
         report = tmp_path / "report.json"
         code, _, err = run(capsys, "evaluate", str(manifest), "--params", str(best), "--out", str(report), *options)
         assert code == 0, err
-        assert json.loads(report.read_text())["average"] == tuned["objective"]
+        evaluated = report.read_text()
+        assert json.loads(evaluated)["average"] == tuned["objective"]
+        # The tuned point's report is the one evaluate writes, bit for bit.
+        assert json.dumps(tuned["report"], indent=2, sort_keys=True) + "\n" == evaluated
 
     def test_deterministic_across_runs(self, capsys, tmp_path, corpus):
         grid = self.grid_file(tmp_path, {"beta": [0.05, 0.2], "omega": [0.0, 0.5]})
@@ -378,6 +387,30 @@ class TestByteOrderMark:
         assert outputs[0] == outputs[1]
 
 
+class TestInputFileReader:
+    """The four text files a user hands swss are read alike: a missing
+    file and one that is not UTF-8 give the same wording for each."""
+
+    KINDS = {"manifest": "manifest", "tsv": "score table", "params": "parameter file", "grid": "grid file"}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_missing_file(self, capsys, valid_inputs, kind):
+        dest, _ = valid_inputs
+        path = dest / f"missing.{kind}"
+        code, _, err = run(capsys, *input_file_argv(dest, kind, path))
+        assert code == 1
+        assert err == f"error: {self.KINDS[kind]} not found: {path}\n"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_not_utf8(self, capsys, valid_inputs, kind):
+        dest, contents = valid_inputs
+        path = dest / f"latin1.{kind}"
+        path.write_bytes(contents[kind] + "caf\xe9".encode("latin-1"))
+        code, _, err = run(capsys, *input_file_argv(dest, kind, path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: not UTF-8 text: "), err
+
+
 @st.composite
 def value_mutants(draw, kind, content):
     """``content`` with one value replaced or removed: one JSON value of a
@@ -511,7 +544,9 @@ class TestSyntheticDatasetScript:
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic_dataset.py"
 
     @pytest.mark.parametrize(
-        "argv, code", [(["--bogus"], 1), ([], 1), (["--segments", "4"], 0)], ids=["unknown-option", "no-out", "valid"]
+        "argv, code",
+        [(["--bogus"], 1), ([], 1), (["--segments", "0"], 1), (["--segments", "-3"], 1), (["--segments", "4"], 0)],
+        ids=["unknown-option", "no-out", "no-segments", "negative-segments", "valid"],
     )
     def test_usage_error_exits_one(self, tmp_path, argv, code):
         out = [] if argv == [] else ["--out", str(tmp_path / "corpus")]
@@ -522,5 +557,6 @@ class TestSyntheticDatasetScript:
         assert result.returncode == code, result.stderr
         if code:
             assert result.stderr.startswith("usage: ") and ": error: " in result.stderr
+            assert not (tmp_path / "corpus").exists()
         else:
             assert Path(result.stdout.strip()).is_file()

@@ -1477,10 +1477,17 @@ def relation_records(tmp_path_factory):
     return records
 
 
-def relation_outputs(records):
+def relation_outputs(records, base="bleu"):
     """The evaluate report of every ablation, and the tuned point."""
-    reports = harness._reports(records, SwssParams(), "bleu", ABLATIONS, False)
-    return [report.to_dict() for report in reports], grid_search(records, TestSharedFiles.GRID)
+    reports = harness._reports(records, SwssParams(), base, ABLATIONS, False)
+    return [report.to_dict() for report in reports], grid_search(records, TestSharedFiles.GRID, base=base)
+
+
+def relation_outputs_of(records, fanned, base="bleu"):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if fanned:
+            force_fan_out(monkeypatch)
+        return relation_outputs(records, base)
 
 
 class TestRelations:
@@ -1501,10 +1508,7 @@ class TestRelations:
     def test_record_order_changes_nothing(self, relation_records, expected, fanned, rng):
         records = list(relation_records)
         rng.shuffle(records)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            if fanned:
-                force_fan_out(monkeypatch)
-            assert relation_outputs(records) == expected
+        assert relation_outputs_of(records, fanned) == expected
 
     @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
     def test_every_record_twice_doubles_only_the_counts(self, relation_records, expected, fanned):
@@ -1513,7 +1517,36 @@ class TestRelations:
             {**report, "n": {pair: 2 * n for pair, n in report["n"].items()}, "skipped": 2 * report["skipped"]}
             for report in reports
         ]
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            if fanned:
-                force_fan_out(monkeypatch)
-            assert relation_outputs(relation_records * 2) == (doubled, tuned)
+        assert relation_outputs_of(relation_records * 2, fanned) == (doubled, tuned)
+
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    @pytest.mark.parametrize("k", [-40, 3, 200])
+    def test_human_scores_times_a_power_of_two_change_nothing(self, relation_records, expected, fanned, k):
+        # Pearson scales the deviations by a power of two, which is exact
+        # away from underflow and overflow.
+        scaled = [dataclasses.replace(r, human_score=math.ldexp(r.human_score, k)) for r in relation_records]
+        assert relation_outputs_of(scaled, fanned) == expected
+
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    def test_renaming_systems_and_segments_changes_nothing(self, relation_records, expected, fanned):
+        # With the BLEU base, the names label the records and nothing more.
+        renamed = [
+            dataclasses.replace(r, system=f"system {r.segment_id % 3}", segment_id=1000 - r.segment_id)
+            for r in relation_records
+        ]
+        assert relation_outputs_of(renamed, fanned) == expected
+
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    def test_swapping_candidate_and_reference_changes_nothing(self, relation_records, fanned):
+        # SWSS is symmetric, and a score table keyed by system and segment
+        # does not read the graphs.
+        table = ExternalScoreTable(
+            metric_name="table", rows={(r.system, r.segment_id): (7 * r.segment_id % 11) / 11 for r in relation_records}
+        )
+        swapped = [
+            dataclasses.replace(r, candidate_ucca=r.reference_ucca, reference_ucca=r.candidate_ucca)
+            for r in relation_records
+        ]
+        expected = relation_outputs(relation_records, table)
+        assert expected[0][0]["skipped"] == 2
+        assert relation_outputs_of(swapped, fanned, table) == expected
