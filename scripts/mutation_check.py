@@ -250,12 +250,26 @@ MUTATIONS = (
         "_write_out(payload, args.out)",
         ("tests/test_cli.py::TestTune::test_out_file_is_what_evaluate_params_reads",),
     ),
-    Mutation(
+    Mutation(  # the argmax is kept, but its report is the default point's
         "tune-report-of-the-default-point",
         HARNESS,
-        "    return _report(correlations, skipped, SwssParams(*vector), base)\n",
-        "    return _report(_correlations(columns, SwssParams()), skipped, SwssParams(*vector), base)\n",
+        "    return best\n",
+        "    return replace(_report(columns, skipped, SwssParams(), base), params=best.params)\n",
         ("tests/test_cli.py::TestTune::test_out_file_is_what_evaluate_params_reads",),
+    ),
+    Mutation(
+        "report-base-average-of-defined-pairs",
+        HARNESS,
+        "base_average=_mean(defined) if len(defined) == len(base_per_pair) else None,",
+        "base_average=_mean(defined) if defined else None,",
+        ("tests/test_harness.py::TestEvaluate::test_base_average_is_none_when_one_pair_has_a_constant_base",),
+    ),
+    Mutation(
+        "grid-value-rule-skipped",
+        HARNESS,
+        '                _check_scalar(field_.name, v, f"grid value for {field_.name!r}")\n',
+        "                pass\n",
+        ("tests/test_harness.py::TestTuneGrid",),
     ),
     Mutation(
         "reader-keeps-the-byte-order-mark",

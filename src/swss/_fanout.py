@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import threading
-from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, NoReturn, Optional, Sequence
 
 logger = logging.getLogger(__name__)
@@ -149,12 +148,11 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
     return [done[n] if n in done else _task_results(run, n) for n in range(count)]
 
 
-def partition(records: Sequence, count: int) -> list[list[int]]:
-    """Record indices in about ``count`` tasks, each in record order. The
-    records that name a common file (``candidate_ucca`` or
-    ``reference_ucca``) share a task, so that each file is loaded once in
-    all."""
-    group = list(range(len(records)))  # union-find over record indices
+def partition(files: Sequence[tuple], count: int) -> list[list[int]]:
+    """Record indices in about ``count`` tasks, each in record order, from
+    each record's tuple of file paths. The records that name a common file
+    share a task, so that each file is loaded once in all."""
+    group = list(range(len(files)))  # union-find over record indices
 
     def find(i: int) -> int:
         while group[i] != i:
@@ -162,15 +160,15 @@ def partition(records: Sequence, count: int) -> list[list[int]]:
             i = group[i]
         return i
 
-    first_use: dict[Path, int] = {}
-    for i, record in enumerate(records):
-        for path in (record.candidate_ucca, record.reference_ucca):
+    first_use: dict = {}  # file path: the first record index that names it
+    for i, paths in enumerate(files):
+        for path in paths:
             a, b = find(i), find(first_use.setdefault(path, i))
             group[max(a, b)] = min(a, b)
     members: dict[int, list[int]] = {}
-    for i in range(len(records)):
+    for i in range(len(files)):
         members.setdefault(find(i), []).append(i)
-    size = -(-len(records) // count)
+    size = -(-len(files) // count)
     tasks: list[list[int]] = [[]]
     for indices in members.values():
         if len(tasks[-1]) >= size:

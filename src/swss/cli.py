@@ -50,8 +50,9 @@ def _load_params(path) -> SwssParams:
 def _resolve_base(spec: str):
     if spec == "bleu":
         return "bleu"
-    if spec.startswith("tsv:"):
-        return load_external_scores(spec[len("tsv:"):])
+    kind, _, path = spec.partition(":")
+    if kind == "tsv" and path:
+        return load_external_scores(path)
     raise ValueError(f"unknown base metric {spec!r}; expected 'bleu' or 'tsv:PATH'")
 
 

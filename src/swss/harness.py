@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import DatasetError, GraphError, _decode_json, _read_lines
 from .lexical import ExternalScoreTable, sentence_bleu
-from .scoring import GraphFeatures, SwssParams, penalized_score, score_from_features
+from .scoring import GraphFeatures, SwssParams, _check_scalar, penalized_score, score_from_features
 from .ucca_graph import load_graph
 
 __all__ = [
@@ -138,7 +138,10 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
             reference_ucca=path_of(obj["reference_ucca"]),
             human_score=float(human),
         )
-        for name in (obj["candidate_ucca"], obj["reference_ucca"]):
+        for field_ in ("candidate_ucca", "reference_ucca"):
+            name = obj[field_]
+            if not name:
+                raise DatasetError(f"{manifest}:{lineno}: field {field_!r} is empty")
             if not is_file(name):
                 raise DatasetError(f"{manifest}:{lineno}: record {record.label}: missing UCCA file {path_of(name)}")
         records.append(record)
@@ -241,10 +244,6 @@ class _Columns(NamedTuple):
     len_penalty: list
 
 
-def _base_name(base: Union[str, ExternalScoreTable]) -> str:
-    return base if isinstance(base, str) else base.metric_name
-
-
 class _FeatureCache:
     """Graph features per file path for one pass over ``records``.
 
@@ -325,7 +324,7 @@ def _prepare_segments(
     from ._fanout import MAX_TASKS, forked_results, partition, task_count, usable_processes
 
     processes = usable_processes(len(records), _FAN_OUT_MIN_RECORDS)
-    tasks = partition(records, task_count(processes, MAX_TASKS))
+    tasks = partition([(r.candidate_ucca, r.reference_ucca) for r in records], task_count(processes, MAX_TASKS))
 
     def run(n: int):
         task = [records[i] for i in tasks[n]]
@@ -372,12 +371,17 @@ def _combined(pair: _Columns, params: SwssParams) -> list[float]:
     ]
 
 
-def _correlations(
-    columns: Mapping[str, _Columns], params: SwssParams
-) -> tuple[dict[str, float], dict[str, float], dict[str, int]]:
+def _mean(values) -> float:
+    values = list(values)
+    return math.fsum(values) / len(values)
+
+
+def _report(
+    columns: Mapping[str, _Columns], skipped: int, params: SwssParams, base: Union[str, ExternalScoreTable]
+) -> CorrelationReport:
+    """The report of ``params`` on the prepared ``columns``."""
     per_pair: dict[str, float] = {}
     base_per_pair: dict[str, Optional[float]] = {}
-    counts: dict[str, int] = {}
     for lang_pair, pair in columns.items():
         try:
             per_pair[lang_pair] = pearson(_combined(pair, params), pair.human)
@@ -387,30 +391,16 @@ def _correlations(
             base_per_pair[lang_pair] = pearson(pair.base, pair.human)
         except ValueError:
             base_per_pair[lang_pair] = None
-        counts[lang_pair] = len(pair.human)
-    return per_pair, base_per_pair, counts
-
-
-def _mean(values) -> float:
-    values = list(values)
-    return math.fsum(values) / len(values)
-
-
-def _report(
-    correlations: tuple, skipped: int, params: SwssParams, base: Union[str, ExternalScoreTable]
-) -> CorrelationReport:
-    """The report of ``params``, from what ``_correlations`` gave for them."""
-    per_pair, base_per_pair, counts = correlations
     defined = [r for r in base_per_pair.values() if r is not None]
     return CorrelationReport(
         per_pair=per_pair,
         base_per_pair=base_per_pair,
         average=_mean(per_pair.values()),
         base_average=_mean(defined) if len(defined) == len(base_per_pair) else None,
-        n=counts,
+        n={lang_pair: len(pair.human) for lang_pair, pair in columns.items()},
         skipped=skipped,
         params=params,
-        base_name=_base_name(base),
+        base_name=base if isinstance(base, str) else base.metric_name,
     )
 
 
@@ -429,7 +419,7 @@ def _reports(
     params = params if params is not None else SwssParams()
     ablated = [apply_ablation(params, ablation) for ablation in ablations]
     columns, skipped = _prepare_segments(records, params, base, strict)
-    return [_report(_correlations(columns, effective), skipped, effective, base) for effective in ablated]
+    return [_report(columns, skipped, effective, base) for effective in ablated]
 
 
 def evaluate(
@@ -472,14 +462,9 @@ class TuneGrid:
                 raise ValueError(f"grid for {field_.name!r} must be a list of numbers, got {values!r}")
             if not values:
                 raise ValueError(f"grid for {field_.name!r} must not be empty")
-            cleaned = []
             for v in values:
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v <= sys.float_info.max:
-                    raise ValueError(f"grid value {v!r} for {field_.name!r} must be finite and >= 0")
-                cleaned.append(float(v))
-            if field_.name == "omega" and max(cleaned) > 1.0:
-                raise ValueError("omega grid values must lie in [0, 1]")
-            object.__setattr__(self, field_.name, tuple(sorted(set(cleaned))))
+                _check_scalar(field_.name, v, f"grid value for {field_.name!r}")
+            object.__setattr__(self, field_.name, tuple(sorted(set(map(float, values)))))
 
     @property
     def size(self) -> int:
@@ -691,17 +676,13 @@ def _tuned(
     columns, skipped = _prepare_segments(records, SwssParams(), base, strict)
 
     candidates = _screen(columns, grid)
-    best = None
-    best_objective = -math.inf
-    for vector in candidates:
-        correlations = _correlations(columns, SwssParams(*vector))
-        objective = _mean(correlations[0].values())
-        if objective > best_objective:
-            best_objective = objective
-            best = vector, correlations
+    # Of equal averages, max keeps the first: the smallest vector.
+    best = max(
+        (_report(columns, skipped, SwssParams(*vector), base) for vector in candidates),
+        key=lambda report: report.average,
+    )
     logger.info(
         "grid search finished; best objective %.6f (%d of %d points re-checked)",
-        best_objective, len(candidates), grid.size,
+        best.average, len(candidates), grid.size,
     )
-    vector, correlations = best
-    return _report(correlations, skipped, SwssParams(*vector), base)
+    return best

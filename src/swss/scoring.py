@@ -37,6 +37,20 @@ _SCALARS = ("alpha1", "alpha2", "alpha3", "alpha4", "beta", "omega")
 _FLAGS = ("fallback_applies_penalties", "include_remote_critical_edges")
 
 
+def _check_scalar(name: str, value, what: Optional[str] = None) -> None:
+    """Raise ValueError unless ``value`` may be the scalar parameter
+    ``name``: a number, not a bool, finite, at least 0, and at most 1 for
+    omega. The message starts with ``what``, by default ``name``."""
+    what = what or name
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    # False for NaN, and for an int too large to become a float.
+    if not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
+    if name == "omega" and value > 1:
+        raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class SwssParams:
     """Tunable knobs of the similarity score.
@@ -61,14 +75,7 @@ class SwssParams:
 
     def __post_init__(self):
         for name in _SCALARS:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            # False for NaN, and for an int too large to become a float.
-            if not 0 <= value <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega!r}")
+            _check_scalar(name, getattr(self, name))
         for name in _FLAGS:
             value = getattr(self, name)
             if not isinstance(value, bool):

@@ -1,8 +1,10 @@
 """Checks on the checks: the mutation table still points at live code,
-the oracles and scripts share no private code with the library, and the
-fork primitive's module imports nothing from it."""
+the oracles and scripts share no private code with the library, the
+fork primitive's module imports nothing from it, and the sources parse
+as the oldest Python that pyproject.toml admits."""
 
 import ast
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -136,3 +138,29 @@ class TestFanoutIndependence:
 
     def test_other_imports_pass(self):
         assert swss_imports("import os\nimport swsslike\nfrom typing import Sequence") == []
+
+    def test_fanout_names_no_record_field(self):
+        # The caller hands it each record's file paths, not the records.
+        from swss.harness import SegmentRecord
+
+        words = set(re.findall(r"\w+", (ROOT / "src" / "swss" / "_fanout.py").read_text(encoding="utf-8")))
+        assert words.isdisjoint(field.name for field in dataclasses.fields(SegmentRecord))
+
+
+def oldest_python():
+    """The version in pyproject.toml's ``requires-python = ">=X.Y"``."""
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    return int(found[1]), int(found[2])
+
+
+OLDEST_PYTHON = oldest_python()
+
+
+class TestOldestPython:
+    @pytest.mark.parametrize(
+        "path",
+        sorted([*(ROOT / "src" / "swss").glob("*.py"), *(ROOT / "scripts").glob("*.py")]),
+        ids=lambda path: str(path.relative_to(ROOT)),
+    )
+    def test_source_parses_as_the_oldest_python(self, path):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)

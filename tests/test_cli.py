@@ -411,6 +411,39 @@ class TestInputFileReader:
         assert err.startswith(f"error: {path}: not UTF-8 text: "), err
 
 
+class TestEmptyPaths:
+    """An empty path is an error that names what the user gave, not the
+    directory it would resolve to."""
+
+    @staticmethod
+    def argv(valid_inputs, command, manifest):
+        dest, contents = valid_inputs
+        if command == "evaluate":
+            return [command, str(manifest)]
+        grid = dest / "valid.grid"
+        grid.write_bytes(contents["grid"])
+        return [command, str(manifest), "--grid", str(grid)]
+
+    @pytest.mark.parametrize("command", ["evaluate", "tune"])
+    def test_tsv_base(self, capsys, valid_inputs, command):
+        dest, _ = valid_inputs
+        code, _, err = run(capsys, *self.argv(valid_inputs, command, dest / "manifest.jsonl"), "--base", "tsv:")
+        assert code == 1
+        assert err == "error: unknown base metric 'tsv:'; expected 'bleu' or 'tsv:PATH'\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "tune"])
+    @pytest.mark.parametrize("field", ["candidate_ucca", "reference_ucca"])
+    def test_graph_path(self, capsys, valid_inputs, command, field):
+        dest, contents = valid_inputs
+        records = [json.loads(line) for line in contents["manifest"].decode().splitlines()]
+        records[1][field] = ""
+        path = dest / "empty-path.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, _, err = run(capsys, *self.argv(valid_inputs, command, path))
+        assert code == 1
+        assert err == f"error: {path}:2: field {field!r} is empty\n"
+
+
 @st.composite
 def value_mutants(draw, kind, content):
     """``content`` with one value replaced or removed: one JSON value of a

@@ -310,6 +310,14 @@ class TestEvaluate:
         with pytest.raises(DatasetError, match="^language pair 'aa-en': pearson is undefined for an input that is not"):
             evaluate(records, SwssParams(beta=1.7e308), base=table)
 
+    def test_base_average_is_none_when_one_pair_has_a_constant_base(self, records):
+        rng = random.Random(5)
+        rows = {(r.system, r.segment_id): 0.5 if r.lang_pair == "aa-en" else rng.random() for r in records}
+        report = evaluate(records, SwssParams(), base=ExternalScoreTable("half-constant", rows))
+        assert report.base_per_pair["aa-en"] is None
+        assert report.base_per_pair["bb-en"] is not None
+        assert report.base_average is None
+
     def test_counts_and_echo(self, records):
         report = evaluate(records, SwssParams())
         assert report.n == {"aa-en": 12, "bb-en": 12}
@@ -427,6 +435,22 @@ class TestTuneGrid:
     def test_value_too_large_for_a_float_rejected(self):
         with pytest.raises(ValueError, match="for 'alpha1' must be finite"):
             TuneGrid.from_dict({"alpha1": [10**400]})
+
+    def test_a_grid_value_is_accepted_exactly_when_the_parameter_is(self):
+        for name in ("alpha1", "alpha2", "alpha3", "alpha4", "beta", "omega"):
+            for value in (0, 0.5, 1, 1.5, -1, -0.0, True, "0.1", None, math.nan, math.inf, 10**400):
+                params_error = grid_error = None
+                try:
+                    SwssParams(**{name: value})
+                except ValueError as exc:
+                    params_error = str(exc)
+                try:
+                    TuneGrid(**{name: (value,)})
+                except ValueError as exc:
+                    grid_error = str(exc)
+                assert (grid_error is None) == (params_error is None), (name, value)
+                if grid_error is not None:
+                    assert grid_error == f"grid value for {name!r}" + params_error[len(name):]
 
 
 def singleton_grid(**overrides):
@@ -1047,10 +1071,10 @@ class TestWorkerPool:
         assert serial[0] is error
         assert "'sys0', segment 0" in serial[1] if fault == "tsv-row" else records[0].candidate_ucca.name in serial[1]
 
-        tasks = _fanout.partition(records, 8)
+        tasks = _fanout.partition([(r.candidate_ucca, r.reference_ucca) for r in records], 8)
         assert tasks[0][0] == 0 and 17 in tasks[-1]
         partition = _fanout.partition
-        monkeypatch.setattr(_fanout, "partition", lambda records, count: partition(records, count)[::-1])
+        monkeypatch.setattr(_fanout, "partition", lambda files, count: partition(files, count)[::-1])
         log = tmp_path / "scored"
 
         def scoring(record):
@@ -1280,18 +1304,14 @@ class TestWorkerPool:
         st.integers(1, 12),
     )
     def test_tasks_partition_records_and_keep_shared_files_together(self, pairs, count):
-        records = [
-            harness.SegmentRecord("aa-en", "s", i, Path(f"{c}.json"), Path(f"{r}.json"), 0.0)
-            for i, (c, r) in enumerate(pairs)
-        ]
-        tasks = _fanout.partition(records, count)
+        files = [(Path(f"{c}.json"), Path(f"{r}.json")) for c, r in pairs]
+        tasks = _fanout.partition(files, count)
         assert 1 <= len(tasks) <= count and all(tasks)
-        assert sorted(i for task in tasks for i in task) == list(range(len(records)))
+        assert sorted(i for task in tasks for i in task) == list(range(len(files)))
         assert all(task == sorted(set(task)) for task in tasks)
         task_of = {i: n for n, task in enumerate(tasks) for i in task}
-        for i, j in itertools.combinations(range(len(records)), 2):
-            a, b = records[i], records[j]
-            if {a.candidate_ucca, a.reference_ucca} & {b.candidate_ucca, b.reference_ucca}:
+        for i, j in itertools.combinations(range(len(files)), 2):
+            if set(files[i]) & set(files[j]):
                 assert task_of[i] == task_of[j]
 
     def test_import_starts_no_process_machinery(self, tmp_path):
