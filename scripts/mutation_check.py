@@ -314,6 +314,48 @@ MUTATIONS = (
         ("tests/test_scoring.py::TestSwss::test_features_path_matches_graph_based_oracle",),
     ),
     Mutation(
+        "fallback-penalized-by-default",
+        "src/swss/scoring.py",
+        "    if fallback_used and not params.fallback_applies_penalties:\n        return f1\n",
+        "",
+        ("tests/test_scoring.py::TestSwss::test_fallback_skips_penalties_by_default",),
+    ),
+    Mutation(
+        "ratio-penalty-is-the-ratio",
+        "src/swss/scoring.py",
+        "    return 1.0 - min(c1, c2) / max(c1, c2)\n",
+        "    return min(c1, c2) / max(c1, c2)\n",
+        ("tests/test_scoring.py::TestRatioPenalty::test_examples",),
+    ),
+    Mutation(
+        "brevity-penalty-ratio-inverted",
+        "src/swss/lexical.py",
+        "brevity = math.exp(1.0 - len(reference_tokens) / len(candidate_tokens))",
+        "brevity = math.exp(1.0 - len(candidate_tokens) / len(reference_tokens))",
+        ("tests/test_lexical.py::TestSentenceBleu::test_brevity_penalty_applies_to_short_candidates",),
+    ),
+    Mutation(
+        "human-score-finiteness-unchecked",
+        HARNESS,
+        "        if not -sys.float_info.max <= human <= sys.float_info.max:\n",
+        "        if False:\n",
+        ("tests/test_harness.py::TestLoadDataset::test_human_score_that_is_not_finite_rejected",),
+    ),
+    Mutation(
+        "internal-error-exits-one",
+        "src/swss/cli.py",
+        "        traceback.print_exc()\n        return 2\n",
+        "        traceback.print_exc()\n        return 1\n",
+        ("tests/test_cli.py::TestCliSurface::test_internal_error_exits_two",),
+    ),
+    Mutation(
+        "remote-critical-edge-counted-as-primary",
+        UCCA_GRAPH,
+        "                    remote_critical += 1\n",
+        "                    critical += 1\n",
+        ("tests/test_ucca_graph.py::TestFigureFixture::test_critical_edges",),
+    ),
+    Mutation(
         "peel-without-remote-edges",
         UCCA_GRAPH,
         "        indegree[child] += 1\n        successors[parent].append(child)\n",

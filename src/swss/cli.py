@@ -13,6 +13,7 @@ import logging
 import sys
 import traceback
 
+from .core_words import CORE_CATEGORIES
 from .errors import DatasetError, SwssError, _decode_json, _read_lines
 from .harness import ABLATIONS, TuneGrid, _reports, _tuned, load_dataset
 from .lexical import load_external_scores
@@ -148,9 +149,10 @@ def cmd_tune(args) -> int:
 def cmd_inspect(args) -> int:
     graph = load_graph(args.ucca, lenient=args.lenient)
     features = GraphFeatures.of(graph)
+    labels = [graph.lowest_label(t.id) for t in graph.terminals]
     summary = {
         "tokens": features.tokens,
-        "lowest_labels": [graph.lowest_label(t.id).value for t in graph.terminals],
+        "lowest_labels": [label.value for label in labels],
         "core_words": [w.surface for w in features.bag.words],
         "core_stems": [w.stem for w in features.bag.words],
         "scenes": features.scenes,
@@ -163,9 +165,9 @@ def cmd_inspect(args) -> int:
         print(json.dumps(summary, indent=2))
         return 0
     width = max(len(t) for t in summary["tokens"])
-    for token, label in zip(summary["tokens"], summary["lowest_labels"]):
-        core = "core" if label in "PSAC" else ""
-        print(f"{token:<{width}}  {label}  {core}")
+    for token, label in zip(summary["tokens"], labels):
+        core = "core" if label in CORE_CATEGORIES else ""
+        print(f"{token:<{width}}  {label.value}  {core}")
     print(f"core words:     {' '.join(summary['core_words'])}")
     print(f"scenes:         {summary['scenes']}")
     print(f"nodes:          {summary['nodes']} ({summary['internal_nodes']} internal)")

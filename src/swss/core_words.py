@@ -60,8 +60,7 @@ class CoreWordBag:
 
 def extract_core_words(graph: UccaGraph) -> CoreWordBag:
     """Collect the graph's core words, stemmed and ordered by position."""
-    # Each terminal's lowest label: the category of its one primary edge.
-    labels = {child: category for _, child, category, remote in graph.edges if not remote}
+    labels = graph._lowest_labels
     words = []
     for terminal_id, text, position in graph.terminals:
         label = labels[terminal_id]

@@ -117,19 +117,10 @@ def _step1c(w: str) -> str:
     return w
 
 
-def _step2(w: str) -> str:
-    # Double suffixes to single ones: -ization -> -ize. The stem before
-    # the suffix must have measure > 0.
-    for suffix, replacement in _STEP2_RULES.get(w[-2:-1], ()):
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            return stem + replacement if _measure(stem) > 0 else w
-    return w
-
-
-def _step3(w: str) -> str:
-    # -ic-, -full, -ness and friends, same strategy as step 2.
-    for suffix, replacement in _STEP3_RULES.get(w[-1], ()):
+def _replace_suffix(w: str, rules: tuple) -> str:
+    # Steps 2 and 3 (-ization -> -ize, -ness -> ""): the bucket's first
+    # suffix that ends the word goes if the stem before has measure > 0.
+    for suffix, replacement in rules:
         if w.endswith(suffix):
             stem = w[: -len(suffix)]
             return stem + replacement if _measure(stem) > 0 else w
@@ -189,7 +180,10 @@ def stem(token: str) -> str:
         raise ValueError("cannot stem an empty token")
     found = token.lower()
     if len(found) > 2 and found.isascii() and found.isalpha():
-        found = _step5(_step4(_step3(_step2(_step1c(_step1ab(found))))))
+        found = _step1c(_step1ab(found))
+        found = _replace_suffix(found, _STEP2_RULES.get(found[-2:-1], ()))
+        found = _replace_suffix(found, _STEP3_RULES.get(found[-1], ()))
+        found = _step5(_step4(found))
     if len(_memo) < _MEMO_SIZE:
         _memo[token] = found
     return found

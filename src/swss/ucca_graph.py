@@ -104,6 +104,9 @@ class UccaGraph:
     terminals + internal nodes + the root. Construct through
     :func:`build_graph` or one of the parsers, which enforce the
     structural invariants.
+
+    The lowest labels, the scene count and the critical-edge counts all
+    come from one pass over the edges, made on the first such query.
     """
 
     root: str
@@ -112,12 +115,32 @@ class UccaGraph:
     edges: tuple[Edge, ...]
 
     @cached_property
-    def _terminal_by_id(self) -> dict[str, Terminal]:
-        return {t.id: t for t in self.terminals}
+    def _summary(self) -> tuple[dict[str, Category], int, int, int]:
+        """Each terminal's lowest label, the scene count, and the
+        critical-edge count without and with remote edges."""
+        # Every scene category is critical, so scenes are found among the
+        # critical primary edges. The root has no incoming primary edge,
+        # so a primary edge's child is a terminal unless it is internal.
+        internal = self.internal_nodes
+        labels = {}
+        scenes = set()
+        critical = remote_critical = 0
+        for parent, child, category, remote in self.edges:
+            if remote:
+                if category in CRITICAL_CATEGORIES:
+                    remote_critical += 1
+                continue
+            if child not in internal:
+                labels[child] = category
+            if category in CRITICAL_CATEGORIES:
+                critical += 1
+                if category in SCENE_CATEGORIES and parent in internal:
+                    scenes.add(parent)
+        return labels, len(scenes), critical, critical + remote_critical
 
-    @cached_property
-    def _incoming_primary(self) -> dict[str, Edge]:
-        return {e.child: e for e in self.edges if not e.remote}
+    @property
+    def _lowest_labels(self) -> dict[str, Category]:
+        return self._summary[0]
 
     def tokens(self) -> list[str]:
         """Terminal texts in sentence order."""
@@ -129,13 +152,14 @@ class UccaGraph:
         This is the most basic semantic role of the word; remote edges are
         never consulted.
         """
-        if terminal_id not in self._terminal_by_id:
-            raise GraphError(f"{terminal_id!r} is not a terminal of this graph")
-        return self._incoming_primary[terminal_id].category
+        try:
+            return self._lowest_labels[terminal_id]
+        except KeyError:
+            raise GraphError(f"{terminal_id!r} is not a terminal of this graph") from None
 
     def count_scenes(self) -> int:
         """Number of internal units whose main relation is a process or state."""
-        return self._counts[0]
+        return self._summary[1]
 
     def count_nodes(self) -> int:
         """Total node count: terminals + internal units + the root.
@@ -151,26 +175,7 @@ class UccaGraph:
         Remote edges are excluded by default; pass ``include_remote=True``
         to count secondary participant links as well.
         """
-        return self._counts[2 if include_remote else 1]
-
-    @cached_property
-    def _counts(self) -> tuple[int, int, int]:
-        """The scene count, and the critical-edge count without and with
-        remote edges, from one pass over the edges."""
-        # Every scene category is critical, so scenes are found among the
-        # critical primary edges.
-        internal = self.internal_nodes
-        scenes = set()
-        critical = remote_critical = 0
-        for parent, _, category, remote in self.edges:
-            if category in CRITICAL_CATEGORIES:
-                if remote:
-                    remote_critical += 1
-                else:
-                    critical += 1
-                    if category in SCENE_CATEGORIES and parent in internal:
-                        scenes.add(parent)
-        return len(scenes), critical, critical + remote_critical
+        return self._summary[3 if include_remote else 2]
 
 
 _BY_POSITION = attrgetter("position")
@@ -386,14 +391,13 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
     # Collapse pure preterminals: a unit whose only outgoing edges are
     # terminal links disappears, and its words take over the category of
     # its incoming primary edge (this also realizes the rule that every
-    # word of an unanalyzable unit receives the unit's label).
+    # word of an unanalyzable unit receives the unit's label). Every unit
+    # but the root has an incoming primary edge.
+    if root_id in term_links:
+        raise GraphError(f"root unit {root_id!r} may not link terminals directly")
     collapsed: set[str] = set()
     edges: list[Edge] = []
     for unit, linked in sorted(term_links.items()):
-        if unit == root_id:
-            raise GraphError(f"root unit {root_id!r} may not link terminals directly")
-        if unit not in incoming_primary:
-            raise GraphError(f"unit {unit!r} links terminals but has no incoming primary edge")
         parent, category = incoming_primary[unit]
         if unit_edges.get(unit):
             # Mixed unit: keep it, attach its words below it with the

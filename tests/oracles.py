@@ -155,17 +155,19 @@ def swss_from_graphs(candidate_graph, reference_graph, params):
     """The pair score computed straight from the two graphs, as
     ``swss.scoring.swss`` did before it scored from per-graph features:
     core words and counts are read from each graph at scoring time, and
-    only the edge count that ``params`` asks for is taken. Core words come
-    from ``lowest_label`` and ``porter_stem_reference``, and the counts
-    from loops of their own."""
+    only the edge count that ``params`` asks for is taken. A word's label
+    is the category of its primary edge in ``graph.edges``, its stem comes
+    from ``porter_stem_reference``, and the counts from loops of their
+    own: nothing here reads the graph's own label map or counts."""
     from swss.core_words import CORE_CATEGORIES, CoreWord, CoreWordBag
     from swss.scoring import GraphStats, ScoreBreakdown, f1_score, penalized_score, ratio_penalty
     from swss.ucca_graph import CRITICAL_CATEGORIES, SCENE_CATEGORIES
 
     def core_words(graph):
+        labels = {e.child: e.category for e in graph.edges if not e.remote}
         words = []
         for t in graph.terminals:
-            label = graph.lowest_label(t.id)
+            label = labels[t.id]
             if label in CORE_CATEGORIES:
                 words.append(
                     CoreWord(surface=t.text, stem=porter_stem_reference(t.text), position=t.position, label=label)

@@ -106,6 +106,30 @@ class TestInspect:
         assert "scenes:         2" in out
         assert "bought" in out
 
+    @pytest.mark.parametrize("graph", ["figure", "all-categories"])
+    def test_text_marks_exactly_the_core_words(self, capsys, tmp_path, figure_xml_path, graph):
+        path = figure_xml_path
+        if graph == "all-categories":
+            # One word per category, each the only child of its edge.
+            codes = [c.value for c in swss.Category]
+            edges = [{"parent": "u", "child": {"terminal": i}, "category": c} for i, c in enumerate(codes, start=1)]
+            document = {
+                "tokens": [f"word{c}" for c in codes],
+                "nodes": [{"id": "r"}, {"id": "u"}],
+                "root": "r",
+                "edges": [{"parent": "r", "child": "u", "category": "H"}, *edges],
+            }
+            path = tmp_path / "all.json"
+            path.write_text(json.dumps(document))
+        summary = json.loads(run(capsys, "inspect", str(path), "--json")[1])
+        code, out, _ = run(capsys, "inspect", str(path))
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[: len(summary["tokens"])]]
+        assert [row[:2] for row in rows] == [list(pair) for pair in zip(summary["tokens"], summary["lowest_labels"])]
+        assert all(row[2:] in ([], ["core"]) for row in rows)
+        assert [row[0] for row in rows if row[2:]] == summary["core_words"]
+        assert {row[1] for row in rows if row[2:]} == {"P", "S", "A", "C"} & {row[1] for row in rows}
+
     def test_no_scene_graph(self, capsys, tmp_path):
         document = {
             "tokens": ["very", "nice"],

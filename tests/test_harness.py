@@ -258,6 +258,25 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=":2: malformed JSON"):
             load_dataset(manifest)
 
+    def test_line_that_is_not_an_object_numbered(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("\n[1, 2]\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(manifest)
+        assert str(info.value) == f"{manifest}:2: expected a JSON object"
+
+    @pytest.mark.parametrize("human", ["NaN", "Infinity", "-1e999", "1" * 400])
+    def test_human_score_that_is_not_finite_rejected(self, tmp_path, corpus, human):
+        graph = json.dumps(str(corpus.parent / "seg0000.cand.json"))
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            '{"lang_pair": "aa-en", "system": "sys", "segment_id": 0, '
+            f'"candidate_ucca": {graph}, "reference_ucca": {graph}, "human_score": {human}}}\n'
+        )
+        with pytest.raises(DatasetError) as info:
+            load_dataset(manifest)
+        assert str(info.value) == f"{manifest}:1: human_score must be finite"
+
     def test_wmt_scale_manifest(self, tmp_path):
         # One language pair with 500 segments, the shape of a real
         # evaluation-campaign dataset.
@@ -398,6 +417,14 @@ class TestEvaluate:
         assert report.skipped == 1
         assert sum(report.n.values()) == len(records) - 1
         assert "skipping record" in caplog.text
+
+    def test_no_record_left_is_an_error(self, records, tmp_path):
+        broken_path = tmp_path / "broken.json"
+        broken_path.write_text("{not json")
+        broken = [dataclasses.replace(r, candidate_ucca=broken_path) for r in records]
+        with pytest.raises(DatasetError) as info:
+            evaluate(broken, SwssParams())
+        assert str(info.value) == "no segments could be evaluated"
 
     def test_beta_continuity_at_zero(self, records):
         at_zero = evaluate(records, SwssParams(beta=0.0)).average

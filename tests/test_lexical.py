@@ -53,6 +53,11 @@ class TestSentenceBleu:
         score = sentence_bleu(["the", "cat", "the"], ["the", "cat"], n_max=2)
         assert score == pytest.approx(expected, rel=1e-12)
 
+    def test_invalid_order(self):
+        with pytest.raises(ValueError) as info:
+            sentence_bleu(["a"], ["a"], n_max=0)
+        assert str(info.value) == "n_max must be >= 1, got 0"
+
     def test_brevity_penalty_applies_to_short_candidates(self):
         score = sentence_bleu(["the", "cat"], ["the", "cat", "sat", "on"], n_max=1)
         assert score == pytest.approx(math.exp(1 - 4 / 2) * 1.0, rel=1e-12)
@@ -108,6 +113,14 @@ class TestExternalScores:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
             load_external_scores(tmp_path / "nope.tsv")
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = self.write(tmp_path, "sysA\t1\t0.5\n\n \t\nsysA\t2\t0.25\n")
+        assert load_external_scores(path).rows == {("sysA", 1): 0.5, ("sysA", 2): 0.25}
+        path = self.write(tmp_path, "sysA\t1\t0.5\n\nsysA\tx\t0.25\n")
+        with pytest.raises(DatasetError) as info:
+            load_external_scores(path)
+        assert str(info.value) == f"{path}:3: segment id 'x' is not an integer"
 
     def test_non_numeric_score_reports_line(self, tmp_path):
         path = self.write(tmp_path, "sysA\t1\t0.5\nsysA\t2\tbogus\n")

@@ -69,6 +69,22 @@ class TestParams:
         with pytest.raises(ValueError, match="category_weights must be an object"):
             SwssParams.from_dict({"category_weights": weights})
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: SwssParams(category_weights={"P": 2.0}), "category_weights key 'P' is not a Category"),
+            (
+                lambda: SwssParams.from_dict({"category_weights": {"Z": 2.0}}),
+                "unknown category code 'Z' in category_weights",
+            ),
+        ],
+        ids=["key-not-a-category", "unknown-code"],
+    )
+    def test_category_weight_key_named(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_dict_round_trip(self):
         p = SwssParams(alpha1=0.3, category_weights={Category.PROCESS: 2.0})
         again = SwssParams.from_dict(json.loads(json.dumps(p.to_dict())))

@@ -667,36 +667,82 @@ class TestQueriesOnRandomGraphs:
             assert stripped.lowest_label(t.id) == graph.lowest_label(t.id)
 
 
-def _bad_position(figure_xml_path):
-    return figure_xml_path.read_text().replace('paragraph_position="1"', 'paragraph_position="x"', 1).encode()
+def _figure_xml(old, new):
+    """The figure fixture's XML with its one ``old`` replaced by ``new``."""
 
+    def make(figure_xml_path):
+        text = figure_xml_path.read_text()
+        assert text.count(old) == 1
+        return text.replace(old, new).encode()
+
+    return make
+
+
+def _json_graph(**fields):
+    """A one-word JSON graph, with ``fields`` replacing its own."""
+    document = {
+        "tokens": ["a"],
+        "nodes": [{"id": "r"}, {"id": "u"}],
+        "root": "r",
+        "edges": [
+            {"parent": "r", "child": "u", "category": "H"},
+            {"parent": "u", "child": {"terminal": 1}, "category": "C"},
+        ],
+    }
+    return lambda _: json.dumps({**document, **fields}).encode()
+
+
+_H_EDGE = '<edge toID="1.2" type="H"><attributes/></edge>'
 
 MALFORMED_FILES = {
-    "bad-position.xml": _bad_position,
+    "bad-position.xml": _figure_xml('paragraph_position="1"', 'paragraph_position="x"'),
     "bad-bytes.json": lambda _: b"\xff\xfe{",
     "deep-nesting.json": lambda _: b"[" * 100_000,
     "huge-int.json": lambda _: (
         b'{"tokens": ["a"], "nodes": [{"id": "r"}], "root": "r", '
         b'"edges": [{"parent": "r", "child": {"terminal": ' + b"1" * 5000 + b'}, "category": "C"}]}'
     ),
-    "lone-surrogate.json": lambda _: json.dumps(
-        {
-            "tokens": ["a\ud800b"],
-            "nodes": [{"id": "r"}, {"id": "u"}],
-            "root": "r",
-            "edges": [
-                {"parent": "r", "child": "u", "category": "H"},
-                {"parent": "u", "child": {"terminal": 1}, "category": "C"},
-            ],
-        }
-    ).encode(),
+    "lone-surrogate.json": _json_graph(tokens=["a\ud800b"]),
+    "terminal-without-text.xml": _figure_xml(' text="John"', ""),
+    "edge-without-target.xml": _figure_xml('<edge toID="1.2" type="H">', '<edge type="H">'),
+    "root-links-a-terminal.xml": _figure_xml(_H_EDGE, _H_EDGE + '<edge toID="0.1" type="Terminal"/>'),
+    "document-not-an-object.json": lambda _: b"[1]",
+    "root-not-a-string.json": _json_graph(root=1),
+    "root-not-a-node.json": _json_graph(root="x"),
+    "edges-not-a-list.json": _json_graph(edges={}),
+    "node-named-like-a-terminal.json": _json_graph(nodes=[{"id": "r"}, {"id": "u"}, {"id": "t1"}]),
+    "edge-into-the-root.json": _json_graph(
+        edges=[
+            {"parent": "r", "child": "u", "category": "H"},
+            {"parent": "u", "child": {"terminal": 1}, "category": "C"},
+            {"parent": "u", "child": "r", "category": "A"},
+        ]
+    ),
+}
+
+# The message after the file name, for each file whose message does not
+# depend on the Python version.
+MESSAGES = {
+    "bad-position.xml": "terminal '0.1': paragraph and position must be integers",
+    "lone-surrogate.json": "tokens[0]: lone surrogate in 'a\\ud800b'",
+    "terminal-without-text.xml": "terminal '0.1' lacks text or position",
+    "edge-without-target.xml": "edge of unit '1.1' lacks toID or type",
+    "root-links-a-terminal.xml": "root unit '1.1' may not link terminals directly",
+    "document-not-an-object.json": "document root: expected a JSON object",
+    "root-not-a-string.json": "root: expected a string node id",
+    "root-not-a-node.json": "root 'x' is not in the node list",
+    "edges-not-a-list.json": "edges: expected a list",
+    # JSON terminals are named t1..tn, so a node may not be.
+    "node-named-like-a-terminal.json": "duplicate node id 't1'",
+    "edge-into-the-root.json": "root 'r' has an incoming primary edge",
 }
 
 
 class TestMalformedFiles:
     """Inputs that once escaped as ValueError, UnicodeDecodeError or
     RecursionError, or that loaded and then failed to print (a token with
-    a lone surrogate): each must be a GraphError naming the file, which a
+    a lone surrogate), and inputs that only one check of the readers
+    rejects: each must be a GraphError naming the file, which a
     non-strict run skips and counts and the CLI reports with exit code 1."""
 
     @pytest.fixture(params=sorted(MALFORMED_FILES))
@@ -708,6 +754,14 @@ class TestMalformedFiles:
     def test_load_graph_names_the_file(self, bad_file):
         with pytest.raises(GraphError, match=re.escape(str(bad_file))):
             load_graph(bad_file)
+
+    @pytest.mark.parametrize("name", sorted(MESSAGES))
+    def test_load_graph_gives_the_exact_message(self, name, tmp_path, figure_xml_path):
+        path = tmp_path / name
+        path.write_bytes(MALFORMED_FILES[name](figure_xml_path))
+        with pytest.raises(GraphError) as info:
+            load_graph(path)
+        assert str(info.value) == f"{path}: {MESSAGES[name]}"
 
     def test_lenient_evaluate_skips_and_counts(self, bad_file, tmp_path):
         records = load_dataset(write_synthetic_dataset(tmp_path / "corpus", n_segments=6, seed=5, noise=0.01))
