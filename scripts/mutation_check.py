@@ -46,6 +46,8 @@ class Mutation(NamedTuple):
 HARNESS = "src/swss/harness.py"
 FANOUT = "src/swss/_fanout.py"
 UCCA_GRAPH = "src/swss/ucca_graph.py"
+SCORING = "src/swss/scoring.py"
+ERRORS = "src/swss/errors.py"
 GRID_ORACLE = "tests/test_harness.py::TestGridSearchOracle"
 SHARED_FILES = "tests/test_harness.py::TestSharedFiles"
 WORKER_POOL = "tests/test_harness.py::TestWorkerPool"
@@ -93,11 +95,36 @@ MUTATIONS = (
         ("tests/test_harness.py::TestPearson::test_input_that_is_not_finite_is_an_error",),
     ),
     Mutation(
+        "pearson-constant-input-unchecked",
+        HARNESS,
+        "    if x_top == x_bottom or y_top == y_bottom:\n"
+        '        raise ValueError("pearson is undefined for a constant input")\n',
+        "",
+        (
+            "tests/test_harness.py::TestPearson::test_constant_input_is_an_error",
+            "tests/test_harness.py::TestPearson::test_constant_with_inexact_mean_is_an_error",
+        ),
+    ),
+    Mutation(
+        "pearson-not-clamped",
+        HARNESS,
+        "    return max(-1.0, min(1.0, r))\n",
+        "    return r\n",
+        ("tests/test_harness.py::TestPearson::test_rounding_past_one_is_clamped",),
+    ),
+    Mutation(
         "pearson-huge-inputs-not-scaled",
         HARNESS,
         "    if top <= _HUGE:\n",
         "    if True:\n",
         ("tests/test_harness.py::TestPearson::test_inputs_up_to_the_float_maximum",),
+    ),
+    Mutation(
+        "ablation-zeroes-the-wrong-alpha",
+        HARNESS,
+        '"no-repr": {"alpha1": 0.0, "alpha2": 0.0, "alpha3": 0.0},',
+        '"no-repr": {"alpha1": 0.0, "alpha2": 0.0, "alpha4": 0.0},',
+        ("tests/test_harness.py::TestEvaluate::test_no_repr_equals_zeroed_alphas",),
     ),
     Mutation(
         "clipping-condition",
@@ -272,8 +299,32 @@ MUTATIONS = (
         ("tests/test_harness.py::TestTuneGrid",),
     ),
     Mutation(
+        "number-rule-accepts-a-bool",
+        ERRORS,
+        "    return isinstance(value, (int, float)) and not isinstance(value, bool)\n",
+        "    return isinstance(value, (int, float))\n",
+        ("tests/test_scoring.py::TestCombine::test_non_finite_base_rejected", "tests/test_scoring.py::TestParams"),
+    ),
+    Mutation(
+        "unknown-key-ignored",
+        SCORING,
+        "    if unknown:\n        raise ValueError(f\"unknown {kind}",
+        "    if False:\n        raise ValueError(f\"unknown {kind}",
+        (
+            "tests/test_scoring.py::TestParams::test_unknown_key_rejected",
+            "tests/test_harness.py::TestTuneGrid::test_unknown_key_rejected",
+        ),
+    ),
+    Mutation(
+        "combine-accepts-a-non-finite-base",
+        SCORING,
+        "    if not _in_float_range(base_score):\n",
+        "    if False:\n",
+        ("tests/test_scoring.py::TestCombine::test_non_finite_base_rejected",),
+    ),
+    Mutation(
         "reader-keeps-the-byte-order-mark",
-        "src/swss/errors.py",
+        ERRORS,
         'open(path, encoding="utf-8-sig")',
         'open(path, encoding="utf-8")',
         ("tests/test_cli.py::TestByteOrderMark",),
@@ -287,7 +338,7 @@ MUTATIONS = (
     ),
     Mutation(  # of the relations, only the swap catches this one
         "length-penalty-of-the-candidate-alone",
-        "src/swss/scoring.py",
+        SCORING,
         "len_penalty = (candidate_stats.tokens + reference_stats.tokens) / 2",
         "len_penalty = candidate_stats.tokens",
         ("tests/test_harness.py::TestRelations::test_swapping_candidate_and_reference_changes_nothing",),
@@ -308,21 +359,21 @@ MUTATIONS = (
     ),
     Mutation(
         "features-ignore-include-remote",
-        "src/swss/scoring.py",
+        SCORING,
         "critical_edges=self.critical_edges_with_remote if include_remote else self.critical_edges,",
         "critical_edges=self.critical_edges,",
         ("tests/test_scoring.py::TestSwss::test_features_path_matches_graph_based_oracle",),
     ),
     Mutation(
         "fallback-penalized-by-default",
-        "src/swss/scoring.py",
+        SCORING,
         "    if fallback_used and not params.fallback_applies_penalties:\n        return f1\n",
         "",
         ("tests/test_scoring.py::TestSwss::test_fallback_skips_penalties_by_default",),
     ),
     Mutation(
         "ratio-penalty-is-the-ratio",
-        "src/swss/scoring.py",
+        SCORING,
         "    return 1.0 - min(c1, c2) / max(c1, c2)\n",
         "    return min(c1, c2) / max(c1, c2)\n",
         ("tests/test_scoring.py::TestRatioPenalty::test_examples",),
@@ -337,7 +388,7 @@ MUTATIONS = (
     Mutation(
         "human-score-finiteness-unchecked",
         HARNESS,
-        "        if not -sys.float_info.max <= human <= sys.float_info.max:\n",
+        "        if not _in_float_range(human):\n",
         "        if False:\n",
         ("tests/test_harness.py::TestLoadDataset::test_human_score_that_is_not_finite_rejected",),
     ),

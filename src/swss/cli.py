@@ -20,8 +20,6 @@ from .lexical import load_external_scores
 from .scoring import GraphFeatures, SwssParams, swss
 from .ucca_graph import load_graph
 
-logger = logging.getLogger(__name__)
-
 
 class _Parser(argparse.ArgumentParser):
     # Usage mistakes are input errors: exit 1, not argparse's default 2.
@@ -132,7 +130,6 @@ def cmd_tune(args) -> int:
     grid = _load_json_object(args.grid, "grid", TuneGrid.from_dict)
     base = _resolve_base(args.base)
     records = load_dataset(args.manifest)
-    logger.info("tuning on %d records over %d grid points", len(records), grid.size)
     with _naming_dataset(args):
         report = _tuned(records, grid, base, args.strict)
     payload = {

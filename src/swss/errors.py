@@ -1,8 +1,10 @@
-"""Shared exception types, and the rules for reading the text files a
-user hands swss and decoding JSON, so every such file fails alike."""
+"""Shared exception types, the rules for reading the text files a user
+hands swss and decoding JSON, so every such file fails alike, and the
+rule for a number a user hands it."""
 
 import json
 import os
+import sys
 
 
 class SwssError(Exception):
@@ -42,3 +44,14 @@ def _decode_json(document, error: type, *where):
         reason = "nested too deeply"
     prefix = ":".join(map(str, where)) + ": " if where else ""
     raise error(f"{prefix}malformed JSON: {reason}")
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _in_float_range(value) -> bool:
+    """Whether the number ``value`` lies within the float range. False for
+    NaN, and for an int too large to become a float."""
+    return -sys.float_info.max <= value <= sys.float_info.max

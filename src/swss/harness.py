@@ -14,13 +14,13 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .errors import DatasetError, GraphError, _decode_json, _read_lines
+from .errors import DatasetError, GraphError, _decode_json, _in_float_range, _read_lines
 from .lexical import ExternalScoreTable, sentence_bleu
-from .scoring import GraphFeatures, SwssParams, _check_scalar, penalized_score, score_from_features
+from .scoring import GraphFeatures, SwssParams, _check_scalar, _field_values, penalized_score, score_from_features
 from .ucca_graph import load_graph
 
 __all__ = [
@@ -37,7 +37,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ABLATIONS = ("full", "no-repr", "no-len", "base-only")
+# Each ablation mode and the parameters it sets.
+_ABLATED = {
+    "full": {},
+    "no-repr": {"alpha1": 0.0, "alpha2": 0.0, "alpha3": 0.0},
+    "no-len": {"alpha4": 0.0},
+    "base-only": {"beta": 0.0},
+}
+ABLATIONS = tuple(_ABLATED)
 
 _MANIFEST_FIELDS = {
     "lang_pair": str,
@@ -127,8 +134,7 @@ def load_dataset(manifest: Union[str, Path]) -> list[SegmentRecord]:
             if not isinstance(obj[name], types) or isinstance(obj[name], bool):
                 raise DatasetError(f"{manifest}:{lineno}: field {name!r} has the wrong type")
         human = obj["human_score"]
-        # False for NaN, and for an int too large to become a float.
-        if not -sys.float_info.max <= human <= sys.float_info.max:
+        if not _in_float_range(human):
             raise DatasetError(f"{manifest}:{lineno}: human_score must be finite")
         record = SegmentRecord(
             lang_pair=obj["lang_pair"],
@@ -218,15 +224,9 @@ def apply_ablation(params: SwssParams, ablation: str) -> SwssParams:
     length coefficient, and base-only the combination weight (leaving the
     base metric alone).
     """
-    if ablation == "full":
-        return params
-    if ablation == "no-repr":
-        return replace(params, alpha1=0.0, alpha2=0.0, alpha3=0.0)
-    if ablation == "no-len":
-        return replace(params, alpha4=0.0)
-    if ablation == "base-only":
-        return replace(params, beta=0.0)
-    raise ValueError(f"unknown ablation {ablation!r}; expected one of {', '.join(ABLATIONS)}")
+    if ablation not in ABLATIONS:
+        raise ValueError(f"unknown ablation {ablation!r}; expected one of {', '.join(ABLATIONS)}")
+    return replace(params, **_ABLATED[ablation])
 
 
 class _Columns(NamedTuple):
@@ -434,10 +434,16 @@ def evaluate(
 
     ``base`` is either "bleu" for the in-repo sentence BLEU over UCCA
     tokens, or a loaded :class:`ExternalScoreTable`. In strict mode any
-    invalid UCCA parse aborts the run; otherwise such segments are skipped
-    and counted. An unresolvable base score is always an error.
+    invalid UCCA parse aborts the run. Otherwise every graph is loaded
+    with ``lenient=True``: a remote edge whose endpoint is missing is
+    dropped and the segment is scored, while a segment with any other
+    invalid parse is skipped and counted. An unresolvable base score is
+    always an error.
     """
     return _reports(records, params, base, (ablation,), strict)[0]
+
+
+_ALPHA_VALUES = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -448,10 +454,10 @@ class TuneGrid:
     lexicographic order and ties resolve to the smallest parameter vector.
     """
 
-    alpha1: tuple = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
-    alpha2: tuple = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
-    alpha3: tuple = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
-    alpha4: tuple = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+    alpha1: tuple = _ALPHA_VALUES
+    alpha2: tuple = _ALPHA_VALUES
+    alpha3: tuple = _ALPHA_VALUES
+    alpha4: tuple = _ALPHA_VALUES
     beta: tuple = (0.05, 0.1, 0.2, 0.5, 1.0)
     omega: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -468,18 +474,11 @@ class TuneGrid:
 
     @property
     def size(self) -> int:
-        return (
-            len(self.alpha1) * len(self.alpha2) * len(self.alpha3)
-            * len(self.alpha4) * len(self.beta) * len(self.omega)
-        )
+        return math.prod(map(len, astuple(self)))
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TuneGrid":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown grid parameter {sorted(unknown)[0]!r}")
-        return cls(**data)
+        return cls(**_field_values(cls, data, "grid parameter"))
 
 
 # Screening bounds of the closed-form grid search. Every point whose
@@ -564,16 +563,17 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
     beta*omega*u``, where s is the penalized F1 (0 on fallback segments)
     and u the fallback flag, so every Pearson r follows from a few sums.
     """
-    alphas = (grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4)
+    axes = astuple(grid)  # alpha1..alpha4, beta, omega
+    alphas = axes[:4]
     pairs: list[_PairSums] = []
     for pair in columns.values():
         if len(pair.human) < 2 or max(pair.human) == min(pair.human):
             # Pearson raises at every point, so the first one tells how.
-            return [(grid.alpha1[0], grid.alpha2[0], grid.alpha3[0], grid.alpha4[0], grid.beta[0], grid.omega[0])]
+            return [tuple(axis[0] for axis in axes)]
         top_base = max(map(abs, pair.base))
         if max(top_base, max(pair.human), -min(pair.human)) > _HUGE:
             # The sums below could overflow, so every point is re-checked.
-            return list(itertools.product(*alphas, grid.beta, grid.omega))
+            return list(itertools.product(*axes))
         dh = _scaled(_centred(pair.human))
         db = _centred(pair.base)
         du = _centred(pair.fallback)
@@ -672,7 +672,7 @@ def _tuned(
     ``average`` is the objective, from the columns the search prepared."""
     if not records:
         raise DatasetError("no records to tune on")
-    logger.info("grid search over %d parameter points", grid.size)
+    logger.info("grid search over %d parameter points on %d records", grid.size, len(records))
     columns, skipped = _prepare_segments(records, SwssParams(), base, strict)
 
     candidates = _screen(columns, grid)

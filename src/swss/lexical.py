@@ -47,12 +47,10 @@ def sentence_bleu(
     smoothing. Orders for which the candidate has no n-grams are skipped.
     An empty candidate scores 0.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    # Built first, so that ngram_profile checks n_max for an empty candidate too.
+    candidate = ngram_profile(candidate_tokens, n_max)
     if not candidate_tokens:
         return 0.0
-
-    candidate = ngram_profile(candidate_tokens, n_max)
     reference = ngram_profile(reference_tokens, n_max)
 
     log_sum = 0.0

@@ -14,12 +14,12 @@ metric as base + beta * score.
 """
 
 import math
-import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .core_words import CoreWordBag, clipped_match, extract_core_words
+from .errors import _in_float_range, _is_number
 from .ucca_graph import Category, UccaGraph
 
 __all__ = [
@@ -42,13 +42,22 @@ def _check_scalar(name: str, value, what: Optional[str] = None) -> None:
     ``name``: a number, not a bool, finite, at least 0, and at most 1 for
     omega. The message starts with ``what``, by default ``name``."""
     what = what or name
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    # False for NaN, and for an int too large to become a float.
-    if not 0 <= value <= sys.float_info.max:
+    if not (_in_float_range(value) and value >= 0):
         raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
     if name == "omega" and value > 1:
         raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
+
+
+def _field_values(cls, data: Mapping, kind: str) -> dict:
+    """``data`` as a dict, if every key names a field of the dataclass
+    ``cls``; otherwise ValueError for the first unknown key in sorted
+    order, as an unknown ``kind``."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {kind} {sorted(unknown)[0]!r}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -86,11 +95,7 @@ class SwssParams:
             for category, weight in self.category_weights.items():
                 if not isinstance(category, Category):
                     raise ValueError(f"category_weights key {category!r} is not a Category")
-                if (
-                    not isinstance(weight, (int, float))
-                    or isinstance(weight, bool)
-                    or not 0 < weight <= sys.float_info.max
-                ):
+                if not (_is_number(weight) and _in_float_range(weight) and weight > 0):
                     raise ValueError(f"weight for {category.value} must be a positive number")
 
     def weight(self, category: Category) -> float:
@@ -109,11 +114,7 @@ class SwssParams:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SwssParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown parameter {sorted(unknown)[0]!r}")
-        kwargs = dict(data)
+        kwargs = _field_values(cls, data, "parameter")
         weights = kwargs.get("category_weights")
         if weights is not None:
             if not isinstance(weights, Mapping):
@@ -158,19 +159,7 @@ class ScoreBreakdown:
     reference: GraphStats
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "p_scene": self.p_scene,
-            "p_node": self.p_node,
-            "p_edge": self.p_edge,
-            "len_penalty": self.len_penalty,
-            "swss": self.swss,
-            "fallback_used": self.fallback_used,
-            "candidate": vars(self.candidate).copy(),
-            "reference": vars(self.reference).copy(),
-        }
+        return asdict(self)
 
 
 def ratio_penalty(c1: int, c2: int) -> float:
@@ -324,6 +313,8 @@ def score_from_features(
 
 def combine(base_score: float, breakdown: ScoreBreakdown, params: SwssParams) -> float:
     """Blend a base metric score with the structural score: base + beta * swss."""
-    if not math.isfinite(base_score):
+    if not _is_number(base_score):
+        raise ValueError(f"base score must be a number, got {base_score!r}")
+    if not _in_float_range(base_score):
         raise ValueError(f"base score must be finite, got {base_score!r}")
     return base_score + params.beta * breakdown.swss

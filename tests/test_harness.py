@@ -82,6 +82,11 @@ class TestPearson:
         with pytest.raises(ValueError, match="constant"):
             pearson(varying, [value] * n)
 
+    # Exactly linear, but the rounded sums put r an ulp outside [-1, 1].
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rounding_past_one_is_clamped(self, sign):
+        assert pearson([4.0, -4.0, -8.0], [sign * y for y in (12.5, -11.5, -23.5)]) == sign
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             pearson([1, 2], [1, 2, 3])
@@ -367,8 +372,10 @@ class TestEvaluate:
         assert flagged == manual
 
     def test_unknown_ablation_rejected(self, records):
-        with pytest.raises(ValueError, match="unknown ablation"):
+        assert ABLATIONS == ("full", "no-repr", "no-len", "base-only")
+        with pytest.raises(ValueError) as info:
             evaluate(records, SwssParams(), ablation="no-everything")
+        assert str(info.value) == "unknown ablation 'no-everything'; expected one of full, no-repr, no-len, base-only"
 
     def test_empty_records_rejected(self):
         with pytest.raises(DatasetError, match="no records"):
@@ -418,6 +425,22 @@ class TestEvaluate:
         assert sum(report.n.values()) == len(records) - 1
         assert "skipping record" in caplog.text
 
+    def test_dangling_remote_edge_dropped_unless_strict(self, records, tmp_path):
+        # Without strict, graphs load as lenient ones do: the remote edge
+        # from a missing node is dropped and the record is scored, not
+        # skipped or counted.
+        document = json.loads(records[0].candidate_ucca.read_text())
+        document["edges"].append({"parent": "ghost", "child": {"terminal": 1}, "category": "A", "remote": True})
+        dangling_path = tmp_path / "dangling.json"
+        dangling_path.write_text(json.dumps(document))
+        mixed = [dataclasses.replace(records[0], candidate_ucca=dangling_path), *records[1:]]
+        assert evaluate(mixed, SwssParams()) == evaluate(records, SwssParams())
+        with pytest.raises(DatasetError) as info:
+            evaluate(mixed, SwssParams(), strict=True)
+        assert str(info.value) == (
+            f"record {records[0].label}: {dangling_path}: edge 'ghost' -> 't1' references unknown node 'ghost'"
+        )
+
     def test_no_record_left_is_an_error(self, records, tmp_path):
         broken_path = tmp_path / "broken.json"
         broken_path.write_text("{not json")
@@ -435,7 +458,8 @@ class TestEvaluate:
 class TestTuneGrid:
     def test_default_grid_size(self):
         grid = TuneGrid()
-        assert grid.size == 8 * 8 * 8 * 8 * 5 * 5
+        assert grid.size == 8 * 8 * 8 * 8 * 5 * 5 == 102_400
+        assert singleton_grid().size == 1
 
     def test_values_sorted_and_deduped(self):
         grid = TuneGrid(alpha1=(1.0, 0.1, 1.0), alpha2=(0,), alpha3=(0,), alpha4=(0,), beta=(0.2,), omega=(0.5,))

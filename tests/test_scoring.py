@@ -369,8 +369,16 @@ class TestCombine:
 
     def test_non_finite_base_rejected(self, figure_graph):
         breakdown = swss(figure_graph, figure_graph)
-        with pytest.raises(ValueError):
-            combine(float("nan"), breakdown, SwssParams())
+        for base, message in [
+            (math.nan, "base score must be finite, got nan"),
+            (math.inf, "base score must be finite, got inf"),
+            (-math.inf, "base score must be finite, got -inf"),
+            (True, "base score must be a number, got True"),
+            (10**400, f"base score must be finite, got {10**400!r}"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                combine(base, breakdown, SwssParams())
+            assert str(info.value) == message
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=3, max_size=10, unique=True))
     def test_beta_zero_preserves_base_ranking(self, bases):
