@@ -256,6 +256,13 @@ MUTATIONS = (
         "for _, candidates in results[::-1] for upper",
         (f"{SPLIT_SCREEN}::test_matches_serial_screen",),
     ),
+    Mutation(  # each task also sweeps the first tuple of the next task's range
+        "screen-range-overlaps-the-next",
+        HARNESS,
+        "            if low < stop and low + widths[level] > start:\n",
+        "            if low <= stop and low + widths[level] > start:\n",
+        (f"{SPLIT_SCREEN}::test_sweep_walks_its_range_of_the_alpha_tuples",),
+    ),
     Mutation(
         "one-process-run-opens-a-pipe",
         FANOUT,
@@ -419,6 +426,24 @@ MUTATIONS = (
         "    if len(peeled) < len(indegree):",
         "    if False:",
         (VALIDATOR_ORACLE,),
+    ),
+    Mutation(  # two elements with one ID become one unit
+        "xml-repeated-unit-id-merged",
+        UCCA_GRAPH,
+        "                if node_id in unit_edges:\n"
+        '                    raise GraphError(f"duplicate node id {node_id!r}")\n',
+        "",
+        ("tests/test_ucca_graph.py::TestXmlErrors::test_repeated_unit_id",),
+    ),
+    Mutation(
+        "no-primary-parent-unnamed",
+        UCCA_GRAPH,
+        "            if n_parents == 0:\n",
+        "            if False:\n",
+        (
+            "tests/test_ucca_graph.py::TestValidation::test_node_without_primary_parent_named",
+            "tests/test_ucca_graph.py::TestValidation::test_terminal_without_primary_parent_named",
+        ),
     ),
     Mutation(
         "xml-implicit-units-kept",

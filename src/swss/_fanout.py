@@ -11,10 +11,8 @@ again, a dead child's included; with one process it opens no pipe, forks
 nothing and runs every task. This module imports nothing from ``swss``.
 """
 
-import itertools
 import logging
 import marshal
-import math
 import os
 import sys
 import threading
@@ -44,10 +42,10 @@ def usable_processes(work: int, minimum: int) -> int:
     return len(os.sched_getaffinity(0))
 
 
-def task_count(processes: int, limit: int) -> int:
+def task_count(processes: int) -> int:
     """Tasks to split a phase into for ``processes`` processes, at most
-    ``limit``: one, all the work in order, for a single process."""
-    return 1 if processes < 2 else min(processes * TASKS_PER_PROCESS, limit)
+    ``MAX_TASKS``: one, all the work in order, for a single process."""
+    return 1 if processes < 2 else min(processes * TASKS_PER_PROCESS, MAX_TASKS)
 
 
 def _task_results(run: Callable[[int], Iterable], n: int) -> list:
@@ -175,22 +173,3 @@ def partition(files: Sequence[tuple], count: int) -> list[list[int]]:
             tasks.append([])
         tasks[-1].extend(indices)
     return [sorted(task) for task in tasks]
-
-
-def screen_tasks(sizes: Sequence[int], count: int) -> list[tuple]:
-    """At least ``count`` tasks where the alpha grid has that many tuples,
-    and fewer than ``2 * count``, that split it into contiguous runs in
-    lexicographic order. Each task is one slice per leading alpha level
-    (``sizes`` holds the level sizes): one index at every level but the
-    last, a run of indices at that one."""
-    depth = 1
-    while depth < len(sizes) and math.prod(sizes[:depth]) < count:
-        depth += 1
-    outer, last = math.prod(sizes[: depth - 1]), sizes[depth - 1]
-    runs = min(last, -(-count // outer))
-    parts = [slice(last * k // runs, last * (k + 1) // runs) for k in range(runs)]
-    return [
-        (*(slice(i, i + 1) for i in prefix), part)
-        for prefix in itertools.product(*map(range, sizes[: depth - 1]))
-        for part in parts
-    ]

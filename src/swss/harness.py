@@ -321,10 +321,10 @@ def _prepare_segments(
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
     # Imported here, so that ``import swss`` does not load it.
-    from ._fanout import MAX_TASKS, forked_results, partition, task_count, usable_processes
+    from ._fanout import forked_results, partition, task_count, usable_processes
 
     processes = usable_processes(len(records), _FAN_OUT_MIN_RECORDS)
-    tasks = partition([(r.candidate_ucca, r.reference_ucca) for r in records], task_count(processes, MAX_TASKS))
+    tasks = partition([(r.candidate_ucca, r.reference_ucca) for r in records], task_count(processes))
 
     def run(n: int):
         task = [records[i] for i in tasks[n]]
@@ -515,19 +515,24 @@ def _dot(xs, ys) -> float:
     return sum(map(operator.mul, xs, ys))
 
 
-def _alpha_sweep(f1: list, tables: list):
-    """Yield ``(alphas, scores)`` over the alpha grid in lexicographic
-    order, where ``scores[i]`` is segment i's F1 times its four penalty
-    factors; partial products are shared between neighbouring tuples."""
+def _alpha_sweep(f1: list, tables: list, start: int, stop: int):
+    """Yield ``(alphas, scores)`` for the alpha tuples whose indices in
+    lexicographic order lie in ``range(start, stop)``, in that order,
+    where ``scores[i]`` is segment i's F1 times its four penalty factors;
+    partial products are shared between neighbouring tuples."""
+    # The tuples under one value of each level.
+    widths = [math.prod(map(len, tables[level + 1 :])) for level in range(len(tables))]
 
-    def walk(prefix, partial, level):
+    def walk(prefix, partial, level, first):
         if level == len(tables):
             yield prefix, partial
             return
-        for alpha, factors in tables[level]:
-            yield from walk(prefix + (alpha,), list(map(operator.mul, partial, factors)), level + 1)
+        for k, (alpha, factors) in enumerate(tables[level]):
+            low = first + k * widths[level]
+            if low < stop and low + widths[level] > start:
+                yield from walk(prefix + (alpha,), list(map(operator.mul, partial, factors)), level + 1, low)
 
-    return walk((), f1, 0)
+    return walk((), f1, 0, 0)
 
 
 def _estimate(sums: list, beta: float, omega: float) -> tuple[float, float]:
@@ -588,12 +593,13 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
             )
         )
     # Imported here, so that ``import swss`` does not load it.
-    from ._fanout import MAX_TASKS, forked_results, screen_tasks, task_count, usable_processes
+    from ._fanout import forked_results, task_count, usable_processes
 
-    sizes = tuple(map(len, alphas))
-    processes = usable_processes(math.prod(sizes) * sum(len(pair.dh) for pair in pairs), _FAN_OUT_MIN_SCREEN_WORK)
-    tasks = screen_tasks(sizes, task_count(processes, MAX_TASKS // 2))
-    results = forked_results(lambda n: _screen_sweep(pairs, grid, tasks[n]), len(tasks), processes)
+    total = math.prod(map(len, alphas))
+    processes = usable_processes(total * sum(len(pair.dh) for pair in pairs), _FAN_OUT_MIN_SCREEN_WORK)
+    count = min(total, task_count(processes))
+    spans = [(total * k // count, total * (k + 1) // count) for k in range(count)]
+    results = forked_results(lambda n: _screen_sweep(pairs, grid, spans[n]), count, processes)
     for result in results:
         if isinstance(result[-1], Exception):
             raise result[-1]
@@ -601,20 +607,17 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
     return [vector for _, candidates in results for upper, vector in candidates if upper >= lower]
 
 
-def _screen_sweep(pairs: list[_PairSums], grid: "TuneGrid", prefix: tuple) -> tuple[float, list]:
+def _screen_sweep(pairs: list[_PairSums], grid: "TuneGrid", span: tuple) -> tuple[float, list]:
     """The best lower bound on the exact objective of the grid points whose
-    alpha indices lie in the slices ``prefix`` (one per leading alpha
-    level), and, in lexicographic order, ``(upper bound, vector)`` of
-    those points that may reach it.
+    alpha tuples lie in ``range(*span)``, a contiguous range of alpha-tuple
+    indices in lexicographic order, and, in that order, ``(upper bound,
+    vector)`` of those points that may reach it.
 
     A sweep over part of the grid prunes with its own best lower bound,
     which is never above the best of the whole grid, so the candidates of
     sweeps over contiguous parts, joined in order and kept where they
     reach the best of all, are those of one sweep over the whole grid."""
-    sweeps = [
-        _alpha_sweep(pair.f1, [level[part] for level, part in zip(pair.tables, prefix)] + pair.tables[len(prefix):])
-        for pair in pairs
-    ]
+    sweeps = [_alpha_sweep(pair.f1, pair.tables, *span) for pair in pairs]
     lower = -math.inf  # the best lower bound on any point's exact objective
     candidates: list[tuple[float, tuple]] = []
     prune_at = 64

@@ -335,10 +335,12 @@ def parse_ucca_xml(document: Union[bytes, str], lenient: bool = False) -> UccaGr
                 node_id = node.get("ID")
                 if node_id is None:
                     raise GraphError("layer 1 node without ID")
+                if node_id in unit_edges:
+                    raise GraphError(f"duplicate node id {node_id!r}")
                 attrs = node.find("attributes")
                 if attrs is not None and _xml_flag(attrs.get("implicit")):
                     implicit.add(node_id)
-                out = unit_edges.setdefault(node_id, [])
+                out = unit_edges[node_id] = []
                 for edge in node.findall("edge"):
                     to_id = edge.get("toID")
                     tag = edge.get("type")

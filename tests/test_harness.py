@@ -1133,7 +1133,29 @@ class TestWorkerPool:
                 handle.write(f"{os.getpid()} {records.index(record)}\n")
 
         fan_out(child=lambda n, record: scoring(record), caller=scoring)
-        assert result_or_error(evaluate, records, SwssParams(), base=base, strict=strict) == serial
+        # The caller reads the first task, the one that holds record 17,
+        # before a child reads any: so the one task it may run again is
+        # record 0's.
+        caller, (read, first_read) = os.getpid(), os.pipe()
+        take_tasks, task_results = _fanout._take_tasks, _fanout._task_results
+
+        def take_tasks_after_the_caller(queue, run):
+            if os.getpid() != caller:
+                select.select([read], [], [], 10)
+            return take_tasks(queue, run)
+
+        def task_results_read(run, n):
+            if os.getpid() == caller:
+                os.write(first_read, b"x")
+            return task_results(run, n)
+
+        monkeypatch.setattr(_fanout, "_take_tasks", take_tasks_after_the_caller)
+        monkeypatch.setattr(_fanout, "_task_results", task_results_read)
+        try:
+            assert result_or_error(evaluate, records, SwssParams(), base=base, strict=strict) == serial
+        finally:
+            os.close(read)
+            os.close(first_read)
         order = {}
         for line in log.read_text(encoding="utf-8").splitlines():
             pid, index = map(int, line.split())
@@ -1488,21 +1510,32 @@ class TestSplitScreen:
     def test_each_task_is_swept_once(self, monkeypatch, fan_out, records, tmp_path):
         # The caller sweeps again only a task that no process sent.
         grid = TestSharedFiles.GRID
-        fan_out(phase="screen")
+        # The child's first grid point waits until the caller has reached
+        # one, so that the caller sweeps a task however late it reads one.
+        reached, reach = os.pipe()
+        fan_out(
+            phase="screen",
+            child=lambda n, step: select.select([reached], [], [], 10),
+            caller=lambda step: os.write(reach, b"x"),
+        )
         log, sweep = tmp_path / "sweeps", harness._screen_sweep
 
-        def logged(pairs, grid, prefix):
+        def logged(pairs, grid, span):
             with open(log, "a", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid()} {prefix}\n")
-            return sweep(pairs, grid, prefix)
+                handle.write(f"{os.getpid()} {span}\n")
+            return sweep(pairs, grid, span)
 
         monkeypatch.setattr(harness, "_screen_sweep", logged)
-        grid_search(records, grid)
+        try:
+            grid_search(records, grid)
+        finally:
+            os.close(reached)
+            os.close(reach)
         lines = log.read_text(encoding="utf-8").splitlines()
         pids = Counter(line.split(" ", 1)[0] for line in lines)
         tasks = Counter(line.split(" ", 1)[1] for line in lines)
-        sizes = (len(grid.alpha1), len(grid.alpha2), len(grid.alpha3), len(grid.alpha4))
-        count = len(_fanout.screen_tasks(sizes, _fanout.task_count(2, _fanout.MAX_TASKS // 2)))
+        total = len(grid.alpha1) * len(grid.alpha2) * len(grid.alpha3) * len(grid.alpha4)
+        count = min(total, _fanout.task_count(2))
         assert len(pids) == 2 and str(os.getpid()) in pids
         assert len(tasks) == count and set(tasks.values()) == {1}
 
@@ -1522,17 +1555,24 @@ class TestSplitScreen:
         force_fan_out(monkeypatch, 2, ("screen",))
         assert search() == serial
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(1, 6), min_size=4, max_size=4), st.integers(1, 64))
-    def test_tasks_split_the_alpha_tuples_in_order(self, sizes, count):
-        tasks = _fanout.screen_tasks(sizes, count)
-        assert min(count, math.prod(sizes)) <= len(tasks) < 2 * count
-        swept = []
-        for task in tasks:
-            # The task's slices, and every index at the levels it leaves free.
-            parts = [*task, *[slice(None)] * (len(sizes) - len(task))]
-            swept += itertools.product(*(range(size)[part] for size, part in zip(sizes, parts)))
-        assert swept == list(itertools.product(*map(range, sizes)))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sweep_walks_its_range_of_the_alpha_tuples(self, data):
+        # The same products in the same order as a walk over every tuple.
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
+        n = data.draw(st.integers(1, 4))
+        factors = st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)
+        f1 = data.draw(factors)
+        tables = [[(float(k), data.draw(factors)) for k in range(size)] for size in sizes]
+        start = data.draw(st.integers(0, math.prod(sizes)))
+        stop = data.draw(st.integers(start, math.prod(sizes)))
+        walk = []
+        for row in itertools.product(*tables):
+            scores = f1
+            for _, level_factors in row:
+                scores = [x * y for x, y in zip(scores, level_factors)]
+            walk.append((tuple(alpha for alpha, _ in row), scores))
+        assert list(harness._alpha_sweep(f1, tables, start, stop)) == walk[start:stop]
 
 
 @pytest.fixture(scope="module")

@@ -161,6 +161,15 @@ class TestXmlErrors:
         with pytest.raises(GraphError, match="multiple primary parents"):
             parse_ucca_xml(document)
 
+    def test_repeated_unit_id(self, figure_xml_path):
+        # A second element with a unit's ID is not merged into that unit.
+        document = figure_xml_path.read_text(encoding="utf-8")
+        unit = '    <node ID="1.4" type="FN"><attributes/></node>\n  </layer>'
+        document = unit.join(document.rsplit("  </layer>", 1))
+        for parse in (parse_ucca_xml, parse_ucca_xml_reference):
+            with pytest.raises(GraphError, match=r"^duplicate node id '1\.4'$"):
+                parse(document)
+
     def test_unanalyzable_unit_spreads_label(self):
         # One preterminal covering two words: both get the unit's category.
         document = """
@@ -534,6 +543,20 @@ class TestValidation:
                 assert str(info.value) == str(exc)
         else:
             assert build_graph(*parts) == expected
+
+    def test_node_without_primary_parent_named(self):
+        # 'u' has no edge into it, and its one edge out is remote.
+        with pytest.raises(GraphError, match=r"^node 'u' has no incoming primary edge$"):
+            build_graph(
+                "r",
+                [Terminal("t1", "Hi", 1)],
+                ["u"],
+                [Edge("r", "t1", Category.CENTER), Edge("u", "t1", Category.CENTER, remote=True)],
+            )
+
+    def test_terminal_without_primary_parent_named(self):
+        with pytest.raises(GraphError, match=r"^terminal 't2' has no incoming primary edge$"):
+            build_graph("r", [Terminal("t1", "Hi", 1), Terminal("t2", "ho", 2)], [], [Edge("r", "t1", Category.CENTER)])
 
     def test_remote_reentrancy_allowed(self):
         edges = [
