@@ -52,6 +52,7 @@ GRID_ORACLE = "tests/test_harness.py::TestGridSearchOracle"
 SHARED_FILES = "tests/test_harness.py::TestSharedFiles"
 WORKER_POOL = "tests/test_harness.py::TestWorkerPool"
 SPLIT_SCREEN = "tests/test_harness.py::TestSplitScreen"
+MEMORY_RULE = "test_features_are_kept_only_while_their_group_is_scored"
 # The caller's merge of one child's results: both phases depend on it.
 CHILD_RESULTS_MERGED = "            done.update(marshal.loads(task) for task in marshal.loads(data))\n"
 VALIDATOR_ORACLE = "tests/test_ucca_graph.py::TestValidation::test_agrees_with_reference_validator"
@@ -136,41 +137,64 @@ MUTATIONS = (
     Mutation(
         "cache-errors-not-kept",
         HARNESS,
-        "            if not last:\n                self._kept[path] = found",
-        "            if not last and not isinstance(found, str):\n                self._kept[path] = found",
-        (f"{SHARED_FILES}::test_features_are_kept_only_until_last_use",),
+        "            if path in shared:\n                loaded[path] = found",
+        "            if path in shared and not isinstance(found, str):\n                loaded[path] = found",
+        (f"{SHARED_FILES}::{MEMORY_RULE}",),
     ),
-    Mutation(
+    Mutation(  # one dict for the whole run
         "cache-no-eviction",
         HARNESS,
-        "found = self._kept.pop(path, None) if last else self._kept.get(path)",
-        "found = self._kept.get(path)",
-        (f"{SHARED_FILES}::test_features_are_kept_only_until_last_use",),
+        "    def run(n: int):\n        for group in tasks[n]:\n            loaded: dict = {}\n",
+        "    kept: dict = {}\n\n    def run(n: int):\n        for group in tasks[n]:\n            loaded = kept\n",
+        (f"{SHARED_FILES}::{MEMORY_RULE}",),
     ),
-    Mutation(
-        "cache-failed-candidates-reference-not-counted",
+    Mutation(  # one dict for each task, which may hold several groups
+        "cache-kept-for-the-whole-task",
         HARNESS,
-        "reference = features.take(record.reference_ucca, load=not candidate_failed)",
-        "reference = None if candidate_failed else features.take(record.reference_ucca)",
-        (f"{SHARED_FILES}::test_features_are_kept_only_until_last_use",),
+        "        for group in tasks[n]:\n            loaded: dict = {}\n",
+        "        loaded: dict = {}\n        for group in tasks[n]:\n",
+        (f"{SHARED_FILES}::{MEMORY_RULE}",),
+    ),
+    Mutation(  # the reference is loaded, and the candidate's message returned
+        "cache-failed-candidates-reference-not-skipped",
+        HARNESS,
+        "        if isinstance(found, str):\n            return found\n        graphs.append(found)\n",
+        "        graphs.append(found)\n"
+        "    if any(isinstance(found, str) for found in graphs):\n"
+        "        return next(found for found in graphs if isinstance(found, str))\n",
+        (f"{SHARED_FILES}::{MEMORY_RULE}",),
     ),
     Mutation(
         "cache-single-use-paths-kept",
         HARNESS,
-        "            if not last:\n                self._kept[path] = found",
-        "            self._kept[path] = found",
-        (f"{SHARED_FILES}::test_features_are_kept_only_until_last_use",),
+        "            if path in shared:\n",
+        "            if True:\n",
+        (f"{SHARED_FILES}::{MEMORY_RULE}",),
+    ),
+    Mutation(  # a task stops at its first unexpected exception
+        "record-error-ends-its-task",
+        HARNESS,
+        "                try:\n"
+        "                    outcome = _score_record(records[i], loaded, shared, params, base, not strict)\n"
+        "                except Exception as exc:\n"
+        "                    outcome = exc\n",
+        "                outcome = _score_record(records[i], loaded, shared, params, base, not strict)\n",
+        (f"{WORKER_POOL}::test_first_error_in_record_order_wins_over_group_order",),
     ),
     Mutation(
         "pool-merge-in-arrival-order",
         HARNESS,
         "            outcomes[i] = outcome\n",
         "            outcomes[outcomes.index(None)] = outcome\n",
-        (f"{WORKER_POOL}::test_first_error_in_record_order_wins", f"{WORKER_POOL}::test_matches_serial_run_and_oracle"),
+        (
+            f"{WORKER_POOL}::test_first_error_in_record_order_wins_over_group_order",
+            f"{WORKER_POOL}::test_first_error_in_record_order_wins",
+            f"{WORKER_POOL}::test_matches_serial_run_and_oracle",
+        ),
     ),
     Mutation(
         "pool-partition-splits-shared-files",
-        FANOUT,
+        HARNESS,
         "            group[max(a, b)] = min(a, b)\n",
         "            pass\n",
         (
@@ -199,7 +223,7 @@ MUTATIONS = (
         "        done = {}\n",
         (
             f"{WORKER_POOL}::test_workers_score_and_load_each_file_once",
-            f"{WORKER_POOL}::test_features_are_kept_only_until_last_use",
+            f"{WORKER_POOL}::{MEMORY_RULE}",
         ),
     ),
     Mutation(

@@ -1,4 +1,6 @@
-"""Run numbered tasks in forked processes, the calling one included.
+"""Run numbered tasks in forked processes, the calling one included. A
+task is a number n and its work ``run(n)``: this module knows no records,
+files or grid points, only what a caller's ``run`` yields.
 
 ``harness`` imports this module inside the two phases that use it, record
 scoring and the grid screen, so ``import swss`` does not load it. Each
@@ -16,7 +18,7 @@ import marshal
 import os
 import sys
 import threading
-from typing import BinaryIO, Callable, Iterable, NoReturn, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, NoReturn, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -144,32 +146,3 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     return [done[n] if n in done else _task_results(run, n) for n in range(count)]
-
-
-def partition(files: Sequence[tuple], count: int) -> list[list[int]]:
-    """Record indices in about ``count`` tasks, each in record order, from
-    each record's tuple of file paths. The records that name a common file
-    share a task, so that each file is loaded once in all."""
-    group = list(range(len(files)))  # union-find over record indices
-
-    def find(i: int) -> int:
-        while group[i] != i:
-            group[i] = group[group[i]]
-            i = group[i]
-        return i
-
-    first_use: dict = {}  # file path: the first record index that names it
-    for i, paths in enumerate(files):
-        for path in paths:
-            a, b = find(i), find(first_use.setdefault(path, i))
-            group[max(a, b)] = min(a, b)
-    members: dict[int, list[int]] = {}
-    for i in range(len(files)):
-        members.setdefault(find(i), []).append(i)
-    size = -(-len(files) // count)
-    tasks: list[list[int]] = [[]]
-    for indices in members.values():
-        if len(tasks[-1]) >= size:
-            tasks.append([])
-        tasks[-1].extend(indices)
-    return [sorted(task) for task in tasks]

@@ -13,7 +13,6 @@ import logging
 import math
 import operator
 import sys
-from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -244,49 +243,71 @@ class _Columns(NamedTuple):
     len_penalty: list
 
 
-class _FeatureCache:
-    """Graph features per file path for one pass over ``records``.
+def _partition(records: Sequence[SegmentRecord], count: int) -> tuple[list[list[list[int]]], set]:
+    """Record indices in groups, packed into about ``count`` tasks, and the
+    set of the file paths named more than once.
 
-    Each file is loaded once. Its features, or the message of the
-    GraphError it raised, are kept only while a later record still names
-    the file, so a file that only one record names is never kept, and
-    memory follows the number of files still to come back, not the corpus
-    size.
-    """
+    A group is the records that name a common file, directly or through
+    other records; it lists their indices in record order, groups follow
+    the order of their first record, and a task holds whole groups, so
+    that each file is loaded once in all."""
+    group = list(range(len(records)))  # union-find over record indices
 
-    def __init__(self, records: Sequence[SegmentRecord], lenient: bool):
-        self._uses = Counter(path for r in records for path in (r.candidate_ucca, r.reference_ucca))
-        self._kept: dict[Path, Union[GraphFeatures, str]] = {}
-        self._lenient = lenient
+    def find(i: int) -> int:
+        while group[i] != i:
+            group[i] = group[group[i]]
+            i = group[i]
+        return i
 
-    def take(self, path: Path, load: bool = True) -> Union[GraphFeatures, str, None]:
-        """Use ``path`` once more: its features, or the message of the
-        GraphError loading it raised. With ``load=False`` the use is only
-        counted, and None is returned for a file not loaded yet."""
-        self._uses[path] -= 1
-        last = self._uses[path] == 0
-        found = self._kept.pop(path, None) if last else self._kept.get(path)
-        if found is None and load:
-            try:
-                found = GraphFeatures.of(load_graph(path, lenient=self._lenient))
-            except GraphError as exc:
-                found = str(exc)
-            if not last:
-                self._kept[path] = found
-        return found
+    first_use: dict = {}  # file path: the first record index that names it
+    shared = set()
+    for i, record in enumerate(records):
+        for path in (record.candidate_ucca, record.reference_ucca):
+            if path in first_use:
+                shared.add(path)
+            a, b = find(i), find(first_use.setdefault(path, i))
+            group[max(a, b)] = min(a, b)
+    members: dict[int, list[int]] = {}
+    for i in range(len(records)):
+        members.setdefault(find(i), []).append(i)
+    size = -(-len(records) // count)
+    tasks: list[list[list[int]]] = [[]]
+    filled = 0  # records in the last task
+    for indices in members.values():
+        if filled >= size:
+            tasks.append([])
+            filled = 0
+        tasks[-1].append(indices)
+        filled += len(indices)
+    return tasks, shared
 
 
 def _score_record(
-    record: SegmentRecord, features: _FeatureCache, params: SwssParams, base: Union[str, ExternalScoreTable]
+    record: SegmentRecord, loaded: dict, shared: set,
+    params: SwssParams, base: Union[str, ExternalScoreTable], lenient: bool,
 ) -> Union[tuple, str]:
     """One record's column values, or the message of the GraphError of a
-    graph it names."""
-    candidate = features.take(record.candidate_ucca)
-    candidate_failed = isinstance(candidate, str)
-    # The reference's use is counted even when the candidate failed.
-    reference = features.take(record.reference_ucca, load=not candidate_failed)
-    if candidate_failed or isinstance(reference, str):
-        return candidate if candidate_failed else reference
+    graph it names, the candidate's first: a failed candidate's reference
+    is not loaded.
+
+    A file is loaded on first need, and its features, or its GraphError's
+    message, are kept in ``loaded``, the dict of the record's group, only
+    if the file is in ``shared``. So a file named once is never kept, and
+    a shared file is kept until its group has been scored."""
+    graphs = []
+    for path in (record.candidate_ucca, record.reference_ucca):
+        found = loaded.get(path)
+        if found is None:
+            try:
+                found = GraphFeatures.of(load_graph(path, lenient=lenient))
+            except GraphError as exc:
+                found = str(exc)
+            if path in shared:
+                loaded[path] = found
+        if isinstance(found, str):
+            return found
+        graphs.append(found)
+    candidate, reference = graphs
     if isinstance(base, ExternalScoreTable):
         base_score = base.score(record.system, record.segment_id)
     else:
@@ -321,22 +342,25 @@ def _prepare_segments(
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
     # Imported here, so that ``import swss`` does not load it.
-    from ._fanout import forked_results, partition, task_count, usable_processes
+    from ._fanout import forked_results, task_count, usable_processes
 
     processes = usable_processes(len(records), _FAN_OUT_MIN_RECORDS)
-    tasks = partition([(r.candidate_ucca, r.reference_ucca) for r in records], task_count(processes))
+    tasks, shared = _partition(records, task_count(processes))
 
     def run(n: int):
-        task = [records[i] for i in tasks[n]]
-        features = _FeatureCache(task, not strict)
-        for record in task:
-            yield _score_record(record, features, params, base)
+        for group in tasks[n]:
+            loaded: dict = {}
+            for i in group:
+                try:
+                    outcome = _score_record(records[i], loaded, shared, params, base, not strict)
+                except Exception as exc:
+                    outcome = exc
+                yield i, outcome
 
-    # Where a task stopped at an unexpected exception, that is its
-    # record's outcome, and the records after it in the task have none.
+    # Every record has an outcome, whichever order its task scored it in.
     outcomes: list = [None] * len(records)
-    for task, results in zip(tasks, forked_results(run, len(tasks), processes)):
-        for i, outcome in zip(task, results):
+    for results in forked_results(run, len(tasks), processes):
+        for i, outcome in results:
             outcomes[i] = outcome
     rows: dict[str, list[tuple]] = {}
     skipped = 0

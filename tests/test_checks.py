@@ -146,6 +146,18 @@ class TestFanoutIndependence:
         words = set(re.findall(r"\w+", (ROOT / "src" / "swss" / "_fanout.py").read_text(encoding="utf-8")))
         assert words.isdisjoint(field.name for field in dataclasses.fields(SegmentRecord))
 
+    def test_fanout_defines_no_partition_and_names_no_path(self):
+        # Which records share a file is the caller's rule: no name in the
+        # code, as against its prose, speaks of files or paths.
+        tree = ast.parse((ROOT / "src" / "swss" / "_fanout.py").read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            names.update(getattr(node, field) for field in ("id", "arg", "attr") if hasattr(node, field))
+        assert "partition" not in names
+        assert not [name for name in names if "path" in name.lower() or "file" in name.lower()]
+
 
 def oldest_python():
     """The version in pyproject.toml's ``requires-python = ">=X.Y"``."""

@@ -817,8 +817,10 @@ class TestSharedFiles:
         loads = self.count_loads(monkeypatch, corrupt_shared_records)
         assert set(loads.values()) == {1}
 
-    def test_features_are_kept_only_until_last_use(self, monkeypatch, shared_records, corrupt_shared_records, tmp_path):
-        check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path)
+    def test_features_are_kept_only_while_their_group_is_scored(
+        self, monkeypatch, shared_records, corrupt_shared_records, tmp_path
+    ):
+        check_features_kept_while_their_group_is_scored(monkeypatch, shared_records, corrupt_shared_records, tmp_path)
 
     def run_evaluate(self, capsys, records, ablation, out):
         manifest = records[0].candidate_ucca.parent / "manifest.jsonl"
@@ -867,42 +869,73 @@ def distinct_paths(records):
     return {p for r in records for p in (r.candidate_ucca, r.reference_ucca)}
 
 
-def check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, fan_out=None):
-    """Check, at every use of a file, that the feature cache holds exactly
-    the files loaded so far that a later record still names. With
-    ``fan_out``, the check runs in the caller and in a forked child, and
-    each distinct file must be loaded once in all."""
-    # Every file of the synthetic corpus is single-use, so nothing may be kept there.
+def file_groups(records):
+    """Each record index's group: the indices of the records that name a
+    common file with it, directly or through other records."""
+    groups = [frozenset([i]) for i in range(len(records))]
+    first = {}  # file path: the first record index that names it
+    for i, record in enumerate(records):
+        for path in (record.candidate_ucca, record.reference_ucca):
+            merged = groups[i] | groups[first.setdefault(path, i)]
+            for k in merged:
+                groups[k] = merged
+    return groups
+
+
+def check_features_kept_while_their_group_is_scored(
+    monkeypatch, shared_records, corrupt_shared_records, tmp_path, fan_out=None
+):
+    """Check the memory rule after each record is scored: its group's dict
+    of loaded files holds exactly the files named more than once that the
+    group has looked up so far, and the record loaded only what it looked
+    up and its group had not kept. A record looks up its candidate, and
+    its reference unless the candidate failed. Each file looked up is
+    loaded once in all; with ``fan_out``, the check runs in the caller and
+    in a forked child."""
+    # Every file of the synthetic corpus is named once, so nothing may be
+    # kept there, and its corrupt candidate's reference is never loaded.
     unique = load_dataset(write_synthetic_dataset(tmp_path / "unique", n_segments=6, seed=2))
-    cache_class = harness._FeatureCache
+    unique[1].candidate_ucca.write_text("{not json")
     if fan_out:
         fan_out()
-        log_loads(monkeypatch, tmp_path / "loads")
+    log_loads(monkeypatch, tmp_path / "loads")
+    score, load = harness._score_record, harness.load_graph
+    loads = []
+
+    def loading(path, lenient=False):
+        loads.append(path)
+        return load(path, lenient=lenient)
+
+    monkeypatch.setattr(harness, "load_graph", loading)
     for records in (shared_records, corrupt_shared_records, unique):
-        later = Counter(p for r in records for p in (r.candidate_ucca, r.reference_ucca))
-        loaded = set()
+        named = Counter(p for r in records for p in (r.candidate_ucca, r.reference_ucca))
+        # A file that fails to load gives (error type, message).
+        failed = {p for p in named if isinstance(result_or_error(load_graph, p, lenient=True), tuple)}
+        looks_up = [
+            (r.candidate_ucca,) if r.candidate_ucca in failed else (r.candidate_ucca, r.reference_ucca) for r in records
+        ]
+        index, groups = {id(r): i for i, r in enumerate(records)}, file_groups(records)
+        looked_up = {}  # group: the files it has looked up so far
 
-        class Checked(cache_class):
-            def take(self, path, load=True):
-                found = super().take(path, load)
-                later[path] -= 1
-                if found is not None:
-                    loaded.add(path)
-                assert set(self._kept) == {p for p in loaded if later[p] > 0}
-                return found
+        def checked(record, loaded, *args):
+            i = index[id(record)]
+            kept = set(loaded)
+            loads.clear()
+            result = score(record, loaded, *args)
+            assert loads == list(dict.fromkeys(p for p in looks_up[i] if p not in kept))
+            group = looked_up.setdefault(groups[i], set())
+            group.update(looks_up[i])
+            assert set(loaded) == {p for p in group if named[p] > 1}
+            return result
 
-        monkeypatch.setattr(harness, "_FeatureCache", Checked)
+        monkeypatch.setattr(harness, "_score_record", checked)
         evaluate(records, SwssParams())
-        if fan_out:
-            # A process checks only its own tasks, and no other task names
-            # their files; a failed check comes back as that record's error.
-            pids, paths = logged_loads(tmp_path / "loads")
-            (tmp_path / "loads").unlink()
-            assert len(pids) >= 2 and os.getpid() in pids
-            assert paths == Counter(map(str, distinct_paths(records)))
-        else:
-            # Every use was counted, also that of a reference whose candidate failed.
-            assert set(later.values()) == {0}
+        # A failed check in a child comes back as that record's error,
+        # and the caller's run of its task fails the same way.
+        pids, paths = logged_loads(tmp_path / "loads")
+        (tmp_path / "loads").unlink()
+        assert paths == Counter({str(p) for paths_of_record in looks_up for p in paths_of_record})
+        assert os.getpid() in pids and len(pids) == (2 if fan_out else 1)
 
 
 # The two phases that fan out: record scoring and the grid screen.
@@ -925,21 +958,26 @@ def force_fan_out(monkeypatch, processes=2, phases=PHASES):
 
 @pytest.fixture
 def fan_out(monkeypatch):
-    """``fan_out(processes=2, child=None, caller=None, phase="score")``
-    forces the fan-out of ``phase`` alone and makes each process run at
-    least one task: the caller's first task waits until every child it
-    forked has begun one. Before each step of the phase (a record, or a
-    grid point of the screen), ``child(n, step)`` runs in the n-th forked
-    child (from 0) and ``caller(step)`` in the caller. Returns the list of
-    the pids that ``os.fork`` returns; every child still running is
-    killed at teardown."""
-    began_r, began_w = os.pipe()
+    """``fan_out(processes=2, child=None, caller=None, phase="score",
+    children_first=False)`` forces the fan-out of ``phase`` alone and makes
+    each process run at least one task: a process that has read its first
+    task number waits until every other one has read one. With
+    ``children_first``, the caller reads its first one only then, so each
+    child's first task comes before the caller's. Before each step of the
+    phase (a record, or a grid point of the screen), ``child(n, step)``
+    runs in the n-th forked child (from 0) and ``caller(step)`` in the
+    caller. Returns the list of the pids that ``os.fork`` returns; every
+    child still running is killed at teardown."""
+    read_r, read_w = os.pipe()  # a byte from each child once it has read a task
+    go_r, go_w = os.pipe()  # a byte for each child once every process has
     pids = []
 
-    def configure(processes=2, child=None, caller=None, phase="score"):
+    def configure(processes=2, child=None, caller=None, phase="score", children_first=False):
         force_fan_out(monkeypatch, processes, (phase,))
-        parent, waiting, me = os.getpid(), [0], {}
-        real_fork, run_task = os.fork, _fanout._task_results
+        # Children forked that have not read a task yet, and those that
+        # have and wait to go on.
+        parent, waiting, held, me = os.getpid(), [0], [0], {}
+        real_fork, take_tasks, run_task = os.fork, _fanout._take_tasks, _fanout._task_results
         step = getattr(harness, STEP_OF_PHASE[phase])
 
         def fork():
@@ -951,15 +989,32 @@ def fan_out(monkeypatch):
                 me["n"] = len(pids)
             return pid
 
+        def gather():
+            # In the caller: wait until each child forked since the last
+            # run of a phase has read a task.
+            while waiting[0]:
+                if not select.select([read_r], [], [], 10)[0]:
+                    raise AssertionError("a forked child read no task")
+                count = len(os.read(read_r, waiting[0]))
+                waiting[0] -= count
+                held[0] += count
+
+        def take(queue, run):
+            if os.getpid() == parent and children_first:
+                gather()
+            return take_tasks(queue, run)
+
         def task_results(run, n):
             if os.getpid() == parent:
-                while waiting[0]:
-                    if not select.select([began_r], [], [], 10)[0]:
-                        raise AssertionError("a forked child began no task")
-                    waiting[0] -= len(os.read(began_r, waiting[0]))
-            elif not me.get("began"):
-                me["began"] = True
-                os.write(began_w, b"x")
+                gather()
+                os.write(go_w, b"x" * held[0])
+                held[0] = 0
+            elif not me.get("met"):
+                me["met"] = True
+                os.write(read_w, b"x")
+                if not select.select([go_r], [], [], 10)[0]:
+                    raise AssertionError("the caller read no task")
+                os.read(go_r, 1)
             return run_task(run, n)
 
         def stepped(first, *args):
@@ -971,6 +1026,7 @@ def fan_out(monkeypatch):
             return step(first, *args)
 
         monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(_fanout, "_take_tasks", take)
         monkeypatch.setattr(_fanout, "_task_results", task_results)
         monkeypatch.setattr(harness, STEP_OF_PHASE[phase], stepped)
         return pids
@@ -983,8 +1039,8 @@ def fan_out(monkeypatch):
                 os.waitpid(pid, 0)
         except ChildProcessError:
             pass
-    os.close(began_r)
-    os.close(began_w)
+    for fd in (read_r, read_w, go_r, go_w):
+        os.close(fd)
 
 
 def log_loads(monkeypatch, log):
@@ -1065,10 +1121,12 @@ class TestWorkerPool:
         assert len(pids) >= 2 and os.getpid() in pids
         assert paths == Counter(map(str, distinct_paths(shared_records)))
 
-    def test_features_are_kept_only_until_last_use(
+    def test_features_are_kept_only_while_their_group_is_scored(
         self, monkeypatch, fan_out, shared_records, corrupt_shared_records, tmp_path
     ):
-        check_features_kept_until_last_use(monkeypatch, shared_records, corrupt_shared_records, tmp_path, fan_out)
+        check_features_kept_while_their_group_is_scored(
+            monkeypatch, shared_records, corrupt_shared_records, tmp_path, fan_out
+        )
 
     @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records"])
     @pytest.mark.parametrize("table", [False, True], ids=["bleu", "tsv"])
@@ -1122,10 +1180,15 @@ class TestWorkerPool:
         assert serial[0] is error
         assert "'sys0', segment 0" in serial[1] if fault == "tsv-row" else records[0].candidate_ucca.name in serial[1]
 
-        tasks = _fanout.partition([(r.candidate_ucca, r.reference_ucca) for r in records], 8)
-        assert tasks[0][0] == 0 and 17 in tasks[-1]
-        partition = _fanout.partition
-        monkeypatch.setattr(_fanout, "partition", lambda files, count: partition(files, count)[::-1])
+        tasks, _ = harness._partition(records, 8)
+        assert tasks[0][0][0] == 0 and 17 in tasks[-1][-1]
+        partition = harness._partition
+
+        def reversed_partition(records, count):
+            tasks, shared = partition(records, count)
+            return tasks[::-1], shared
+
+        monkeypatch.setattr(harness, "_partition", reversed_partition)
         log = tmp_path / "scored"
 
         def scoring(record):
@@ -1133,41 +1196,49 @@ class TestWorkerPool:
                 handle.write(f"{os.getpid()} {records.index(record)}\n")
 
         fan_out(child=lambda n, record: scoring(record), caller=scoring)
-        # The caller reads the first task, the one that holds record 17,
-        # before a child reads any: so the one task it may run again is
-        # record 0's.
-        caller, (read, first_read) = os.getpid(), os.pipe()
-        take_tasks, task_results = _fanout._take_tasks, _fanout._task_results
-
-        def take_tasks_after_the_caller(queue, run):
-            if os.getpid() != caller:
-                select.select([read], [], [], 10)
-            return take_tasks(queue, run)
-
-        def task_results_read(run, n):
-            if os.getpid() == caller:
-                os.write(first_read, b"x")
-            return task_results(run, n)
-
-        monkeypatch.setattr(_fanout, "_take_tasks", take_tasks_after_the_caller)
-        monkeypatch.setattr(_fanout, "_task_results", task_results_read)
-        try:
-            assert result_or_error(evaluate, records, SwssParams(), base=base, strict=strict) == serial
-        finally:
-            os.close(read)
-            os.close(first_read)
+        assert result_or_error(evaluate, records, SwssParams(), base=base, strict=strict) == serial
         order = {}
         for line in log.read_text(encoding="utf-8").splitlines():
             pid, index = map(int, line.split())
             order.setdefault(pid, []).append(index)
         assert len(order) == 2
-        # A process that scored record 0 scored another task first, and
-        # record 0's task last; the caller scores it again if a child's
-        # run of it raised.
+        # Each process read one of the first tasks, so a process that
+        # scored record 0, in the last task, scored another task first;
+        # the caller scores it again if a child's run of it raised.
         scored_0 = [indices for indices in order.values() if 0 in indices]
         assert scored_0
         for indices in scored_0:
-            assert indices[0] != 0 and set(indices[indices.index(0):]) <= set(tasks[0])
+            assert indices[0] != 0
+
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    @pytest.mark.parametrize(
+        "fault, error",
+        [("graph", DatasetError), ("tsv-row", DatasetError), ("deleted-file", FileNotFoundError)],
+    )
+    def test_first_error_in_record_order_wins_over_group_order(self, request, tmp_path, fanned, fault, error):
+        # Records 0 and 2 name one reference, and record 1 a reference of
+        # its own. Records 1 and 2 fail. Serially, the one task scores the
+        # group {0, 2} before record 1; fanned out, each group is a task.
+        records = write_shared_corpus(tmp_path / "corpus", n_segments=2, systems=2)[:3]
+        assert records[0].reference_ucca == records[2].reference_ucca != records[1].reference_ucca
+        failing = records[1:]
+        base, strict = "bleu", fault == "graph"
+        if fault == "graph":
+            for record in failing:
+                record.candidate_ucca.write_text("{not json")
+        elif fault == "tsv-row":
+            table = random_table(records)
+            missing = {(r.system, r.segment_id) for r in failing}
+            base = ExternalScoreTable(table.metric_name, {k: v for k, v in table.rows.items() if k not in missing})
+        else:
+            for record in failing:
+                record.candidate_ucca.unlink()
+        serial = result_or_error(evaluate_per_record, records, SwssParams(), base, strict)
+        assert serial[0] is error
+        assert "'sys0', segment 1" in serial[1] if fault == "tsv-row" else records[1].candidate_ucca.name in serial[1]
+        if fanned:
+            request.getfixturevalue("fan_out")()  # the caller and the child each score a group
+        assert result_or_error(evaluate, records, SwssParams(), base=base, strict=strict) == serial
 
     @pytest.mark.parametrize("phase", PHASES)
     def test_fault_in_every_process_raises_like_the_serial_run(self, monkeypatch, fan_out, shared_records, phase):
@@ -1186,18 +1257,10 @@ class TestWorkerPool:
             monkeypatch.setattr(harness, "_estimate", broken)
         serial = result_or_error(run_phase, phase, shared_records)
         assert serial[0] is TypeError
-        # The caller takes no task until the child has begun one, so the
+        # The caller takes no task until the child has taken one, so the
         # child's fault comes first in task order.
-        caller, (began, begin) = os.getpid(), os.pipe()
-        fan_out(child=lambda n, step: os.write(begin, b"x"), phase=phase)
-        take_tasks = _fanout._take_tasks
-
-        def take_tasks_later(queue, run):
-            if os.getpid() == caller:
-                select.select([began], [], [], 10)
-            return take_tasks(queue, run)
-
-        monkeypatch.setattr(_fanout, "_take_tasks", take_tasks_later)
+        began, begin = os.pipe()
+        fan_out(child=lambda n, step: os.write(begin, b"x"), phase=phase, children_first=True)
         try:
             with pytest.raises(TypeError) as info:
                 run_phase(phase, shared_records)
@@ -1338,13 +1401,20 @@ class TestWorkerPool:
 
         monkeypatch.setattr(os, "pipe", refused("pipe"))
         monkeypatch.setattr(os, "fork", refused("fork"))
-        # One task each: one feature cache over every record, one sweep
-        # over the whole grid.
-        monkeypatch.setattr(harness, "_FeatureCache", counted("cache", harness._FeatureCache))
+        # One task per phase: every record in order, one sweep over the
+        # whole grid.
+        run_tasks = _fanout.forked_results
+
+        def counted_tasks(run, count, processes):
+            calls["phase"] += 1
+            calls["task"] += count
+            return run_tasks(run, count, processes)
+
+        monkeypatch.setattr(_fanout, "forked_results", counted_tasks)
         monkeypatch.setattr(harness, "_screen_sweep", counted("sweep", harness._screen_sweep))
         with caplog.at_level(logging.WARNING):
             assert (evaluate(records, SwssParams()).to_dict(), grid_search(records, self.GRID)) == expected
-        assert calls == {"cache": 2, "sweep": 1}
+        assert calls == {"phase": 3, "task": 3, "sweep": 1}
         assert not [r for r in caplog.records if "could not start a worker process" in r.getMessage()]
 
     def test_runs_serially_in_a_daemonic_worker(self, monkeypatch, shared_records, tmp_path):
@@ -1377,15 +1447,17 @@ class TestWorkerPool:
         st.integers(1, 12),
     )
     def test_tasks_partition_records_and_keep_shared_files_together(self, pairs, count):
-        files = [(Path(f"{c}.json"), Path(f"{r}.json")) for c, r in pairs]
-        tasks = _fanout.partition(files, count)
+        records = [
+            harness.SegmentRecord("aa-en", "sys", i, Path(f"{c}.json"), Path(f"{r}.json"), 0.0)
+            for i, (c, r) in enumerate(pairs)
+        ]
+        tasks, shared = harness._partition(records, count)
         assert 1 <= len(tasks) <= count and all(tasks)
-        assert sorted(i for task in tasks for i in task) == list(range(len(files)))
-        assert all(task == sorted(set(task)) for task in tasks)
-        task_of = {i: n for n, task in enumerate(tasks) for i in task}
-        for i, j in itertools.combinations(range(len(files)), 2):
-            if set(files[i]) & set(files[j]):
-                assert task_of[i] == task_of[j]
+        # Whole groups in record order, each group in record order.
+        groups = [group for task in tasks for group in task]
+        assert groups == sorted(map(sorted, set(file_groups(records))))
+        named = Counter(p for r in records for p in (r.candidate_ucca, r.reference_ucca))
+        assert shared == {p for p, n in named.items() if n > 1}
 
     def test_import_starts_no_process_machinery(self, tmp_path):
         code = (
@@ -1510,14 +1582,7 @@ class TestSplitScreen:
     def test_each_task_is_swept_once(self, monkeypatch, fan_out, records, tmp_path):
         # The caller sweeps again only a task that no process sent.
         grid = TestSharedFiles.GRID
-        # The child's first grid point waits until the caller has reached
-        # one, so that the caller sweeps a task however late it reads one.
-        reached, reach = os.pipe()
-        fan_out(
-            phase="screen",
-            child=lambda n, step: select.select([reached], [], [], 10),
-            caller=lambda step: os.write(reach, b"x"),
-        )
+        fan_out(phase="screen")
         log, sweep = tmp_path / "sweeps", harness._screen_sweep
 
         def logged(pairs, grid, span):
@@ -1526,11 +1591,7 @@ class TestSplitScreen:
             return sweep(pairs, grid, span)
 
         monkeypatch.setattr(harness, "_screen_sweep", logged)
-        try:
-            grid_search(records, grid)
-        finally:
-            os.close(reached)
-            os.close(reach)
+        grid_search(records, grid)
         lines = log.read_text(encoding="utf-8").splitlines()
         pids = Counter(line.split(" ", 1)[0] for line in lines)
         tasks = Counter(line.split(" ", 1)[1] for line in lines)

@@ -733,6 +733,7 @@ MALFORMED_FILES = {
     "root-not-a-string.json": _json_graph(root=1),
     "root-not-a-node.json": _json_graph(root="x"),
     "edges-not-a-list.json": _json_graph(edges={}),
+    "nodes-not-a-list.json": _json_graph(nodes={"id": "r"}),
     "node-named-like-a-terminal.json": _json_graph(nodes=[{"id": "r"}, {"id": "u"}, {"id": "t1"}]),
     "edge-into-the-root.json": _json_graph(
         edges=[
@@ -755,6 +756,7 @@ MESSAGES = {
     "root-not-a-string.json": "root: expected a string node id",
     "root-not-a-node.json": "root 'x' is not in the node list",
     "edges-not-a-list.json": "edges: expected a list",
+    "nodes-not-a-list.json": "nodes: expected a list",
     # JSON terminals are named t1..tn, so a node may not be.
     "node-named-like-a-terminal.json": "duplicate node id 't1'",
     "edge-into-the-root.json": "root 'r' has an incoming primary edge",
