@@ -64,7 +64,7 @@ MUTATIONS = (
         HARNESS,
         "return total / len(sums), _SCREEN_FLOOR + _ROUNDING * slack / len(sums)",
         "return total / len(sums), 0.0",
-        (GRID_ORACLE,),
+        (GRID_ORACLE, "tests/test_harness.py::TestScreenBound"),
     ),
     Mutation(
         "screen-no-degenerate-recheck",
@@ -80,6 +80,13 @@ MUTATIONS = (
         "penalized_score(omega if u else f, u, ps, pn, pe, ln, params)",
         "penalized_score(f, u, ps, pn, pe, ln, params)",
         (GRID_ORACLE, f"{SHARED_FILES}::test_matches_per_record_oracle"),
+    ),
+    Mutation(
+        "pair-drop-unwarned",
+        HARNESS,
+        "    for lang_pair in sorted(skips.keys() - rows.keys()):\n",
+        "    for lang_pair in ():\n",
+        ("tests/test_harness.py::TestDroppedPair",),
     ),
     Mutation(
         "ablation-reports-read-unablated-params",
@@ -391,8 +398,8 @@ MUTATIONS = (
     Mutation(
         "features-ignore-include-remote",
         SCORING,
-        "critical_edges=self.critical_edges_with_remote if include_remote else self.critical_edges,",
-        "critical_edges=self.critical_edges,",
+        "candidate_stats, reference_stats = candidate.stats_with_remote, reference.stats_with_remote",
+        "candidate_stats, reference_stats = candidate.stats, reference.stats",
         ("tests/test_scoring.py::TestSwss::test_features_path_matches_graph_based_oracle",),
     ),
     Mutation(

@@ -146,17 +146,18 @@ def cmd_tune(args) -> int:
 def cmd_inspect(args) -> int:
     graph = load_graph(args.ucca, lenient=args.lenient)
     features = GraphFeatures.of(graph)
+    stats = features.stats
     labels = [graph.lowest_label(t.id) for t in graph.terminals]
     summary = {
         "tokens": features.tokens,
         "lowest_labels": [label.value for label in labels],
         "core_words": [w.surface for w in features.bag.words],
         "core_stems": [w.stem for w in features.bag.words],
-        "scenes": features.scenes,
-        "nodes": features.nodes,
-        "internal_nodes": features.internal_nodes,
-        "critical_edges": features.critical_edges,
-        "critical_edges_with_remote": features.critical_edges_with_remote,
+        "scenes": stats.scenes,
+        "nodes": stats.nodes,
+        "internal_nodes": stats.internal_nodes,
+        "critical_edges": stats.critical_edges,
+        "critical_edges_with_remote": features.stats_with_remote.critical_edges,
     }
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -166,12 +167,9 @@ def cmd_inspect(args) -> int:
         core = "core" if label in CORE_CATEGORIES else ""
         print(f"{token:<{width}}  {label.value}  {core}")
     print(f"core words:     {' '.join(summary['core_words'])}")
-    print(f"scenes:         {summary['scenes']}")
-    print(f"nodes:          {summary['nodes']} ({summary['internal_nodes']} internal)")
-    print(
-        f"critical edges: {summary['critical_edges']} "
-        f"({summary['critical_edges_with_remote']} with remote)"
-    )
+    print(f"scenes:         {stats.scenes}")
+    print(f"nodes:          {stats.nodes} ({stats.internal_nodes} internal)")
+    print(f"critical edges: {stats.critical_edges} ({features.stats_with_remote.critical_edges} with remote)")
     return 0
 
 

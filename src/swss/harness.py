@@ -363,21 +363,26 @@ def _prepare_segments(
         for i, outcome in results:
             outcomes[i] = outcome
     rows: dict[str, list[tuple]] = {}
-    skipped = 0
+    skips: dict[str, int] = {}  # records skipped per language pair
     # In record order, so the first error raised and the warnings are
     # those of one pass over the records, whoever scored them.
     for record, outcome in zip(records, outcomes):
         if isinstance(outcome, str):  # a GraphError's message
             if strict:
                 raise DatasetError(f"record {record.label}: {outcome}") from None
-            skipped += 1
+            skips[record.lang_pair] = skips.get(record.lang_pair, 0) + 1
             logger.warning("skipping record %s: %s", record.label, outcome)
         elif isinstance(outcome, Exception):
             raise outcome
         else:
             rows.setdefault(record.lang_pair, []).append(outcome)
+    skipped = sum(skips.values())
     if skipped:
         logger.warning("skipped %d record(s) with invalid UCCA parses", skipped)
+    for lang_pair in sorted(skips.keys() - rows.keys()):
+        logger.warning(
+            "language pair %s left out of the report: all %d of its record(s) were skipped", lang_pair, skips[lang_pair]
+        )
     if not rows:
         raise DatasetError("no segments could be evaluated")
     return {lang_pair: _Columns(*map(list, zip(*rows[lang_pair]))) for lang_pair in sorted(rows)}, skipped

@@ -15,7 +15,7 @@ metric as base + beta * score.
 
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 from .core_words import CoreWordBag, clipped_match, extract_core_words
@@ -227,39 +227,30 @@ class GraphFeatures:
     """Everything scoring reads from one graph.
 
     None of it depends on the parameters, so one value serves every pair
-    and every parameter point that involves the graph; the edge count is
-    kept both without and with remote edges for that reason.
+    and every parameter point that involves the graph: ``stats`` leaves
+    remote critical edges out of its counts and ``stats_with_remote``
+    counts them, for either value of ``include_remote_critical_edges``.
     """
 
     tokens: tuple[str, ...]
     bag: CoreWordBag
-    scenes: int
-    nodes: int
-    internal_nodes: int
-    critical_edges: int
-    critical_edges_with_remote: int
+    stats: GraphStats
+    stats_with_remote: GraphStats
 
     @classmethod
     def of(cls, graph: UccaGraph) -> "GraphFeatures":
-        return cls(
-            tokens=tuple(graph.tokens()),
-            bag=extract_core_words(graph),
+        tokens = tuple(graph.tokens())
+        bag = extract_core_words(graph)
+        stats = GraphStats(
+            tokens=len(tokens),
             scenes=graph.count_scenes(),
             nodes=graph.count_nodes(),
             internal_nodes=len(graph.internal_nodes),
             critical_edges=graph.count_critical_edges(),
-            critical_edges_with_remote=graph.count_critical_edges(include_remote=True),
+            core_words=bag.total,
         )
-
-    def stats(self, include_remote: bool) -> GraphStats:
-        return GraphStats(
-            tokens=len(self.tokens),
-            scenes=self.scenes,
-            nodes=self.nodes,
-            internal_nodes=self.internal_nodes,
-            critical_edges=self.critical_edges_with_remote if include_remote else self.critical_edges,
-            core_words=self.bag.total,
-        )
+        with_remote = replace(stats, critical_edges=graph.count_critical_edges(include_remote=True))
+        return cls(tokens, bag, stats, with_remote)
 
 
 def swss(
@@ -286,9 +277,10 @@ def score_from_features(
         params = SwssParams()
     precision, recall, f1, fallback_used = f1_score(candidate.bag, reference.bag, params)
 
-    include_remote = params.include_remote_critical_edges
-    candidate_stats = candidate.stats(include_remote)
-    reference_stats = reference.stats(include_remote)
+    if params.include_remote_critical_edges:
+        candidate_stats, reference_stats = candidate.stats_with_remote, reference.stats_with_remote
+    else:
+        candidate_stats, reference_stats = candidate.stats, reference.stats
 
     p_scene = ratio_penalty(candidate_stats.scenes, reference_stats.scenes)
     p_node = ratio_penalty(candidate_stats.nodes, reference_stats.nodes)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 import scipy.stats
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from oracles import evaluate_per_record, grid_search_per_record, reference_pearson
@@ -455,6 +455,62 @@ class TestEvaluate:
         assert near_zero == pytest.approx(at_zero, abs=1e-6)
 
 
+@pytest.fixture(scope="module")
+def dropped_pair_records(tmp_path_factory):
+    """Two language pairs of 6 segments each; every bb-en candidate is
+    malformed JSON, so every bb-en record is skipped."""
+    dest = tmp_path_factory.mktemp("dropped")
+    records = load_dataset(write_synthetic_dataset(dest, 12, lang_pairs=("aa-en", "bb-en"), seed=5, noise=0.05))
+    for record in records:
+        if record.lang_pair == "bb-en":
+            record.candidate_ucca.write_text("{not json")
+    return records
+
+
+class TestDroppedPair:
+    """A language pair whose every record is skipped is named in one
+    warning per run, and the report's numbers stay those of the others."""
+
+    WARNING = "language pair bb-en left out of the report: all 6 of its record(s) were skipped"
+
+    def dropped_warnings(self, caplog):
+        return [r.getMessage() for r in caplog.records if "left out of the report" in r.getMessage()]
+
+    @pytest.mark.parametrize("fanned", [False, True], ids=["serial", "fanned"])
+    def test_ablation_ladder_warns_once(self, request, caplog, capsys, tmp_path, dropped_pair_records, fanned):
+        records = dropped_pair_records
+        pids = request.getfixturevalue("fan_out")() if fanned else []
+        manifest = records[0].candidate_ucca.parent / "manifest.jsonl"
+        out = tmp_path / "ladder.json"
+        with caplog.at_level(logging.WARNING):
+            assert main(["evaluate", str(manifest), "--ablation", "all", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(pids) == fanned
+        assert self.dropped_warnings(caplog) == [self.WARNING]
+        ladder = json.loads(out.read_text(encoding="utf-8"))
+        for ablation in ABLATIONS:
+            assert ladder[ablation]["n"] == {"aa-en": 6}
+            assert ladder[ablation]["skipped"] == 6
+            oracle = evaluate_per_record(records, apply_ablation(SwssParams(), ablation))
+            assert ladder[ablation] == json.loads(json.dumps(oracle))
+
+    def test_tune_warns_once(self, caplog, dropped_pair_records):
+        with caplog.at_level(logging.WARNING):
+            grid_search(dropped_pair_records, singleton_grid(alpha1=(0.0, 0.2)))
+        assert self.dropped_warnings(caplog) == [self.WARNING]
+
+    def test_no_warning_while_a_pair_keeps_records(self, caplog, dropped_pair_records):
+        # Two bb-en records get a valid candidate, so bb-en stays.
+        valid = dropped_pair_records[0].candidate_ucca
+        records = [
+            dataclasses.replace(r, candidate_ucca=valid) if r.segment_id in (1, 3) else r for r in dropped_pair_records
+        ]
+        with caplog.at_level(logging.WARNING):
+            report = evaluate(records, SwssParams())
+        assert set(report.n) == {"aa-en", "bb-en"}
+        assert self.dropped_warnings(caplog) == []
+
+
 class TestTuneGrid:
     def test_default_grid_size(self):
         grid = TuneGrid()
@@ -698,6 +754,58 @@ class TestGridSearchOracle:
         with pytest.raises(DatasetError) as info:
             grid_search(records, grid, base=table)
         assert str(info.value) == expected
+
+
+class TestScreenBound:
+    """Where the screen's estimate of a grid point comes with a finite
+    bound, the exact objective lies within that bound of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        **ORACLE_CASES,
+        # A base that is constant but for noise of this size, if not 0.
+        jitter=st.sampled_from([0.0, 1e-13, 1e-7]),
+        # Betas near 0 leave a pair's metric nearly constant.
+        small_betas=st.sampled_from([(), (1e-12,), (1e-7, 5.0)]),
+    )
+    def test_estimate_lies_within_its_bound(
+        self, n_segments, two_pairs, noise, self_pairs, constant_base, seed, grid, jitter, small_betas
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            records, base = oracle_case(tmp, n_segments, two_pairs, noise, self_pairs, constant_base, seed)
+            if jitter:
+                rng = random.Random(seed)
+                rows = {(r.system, r.segment_id): 0.25 + jitter * rng.random() for r in records}
+                base = ExternalScoreTable("near-constant", rows)
+            columns, skipped = harness._prepare_segments(records, SwssParams(), base, False)
+        grid = dataclasses.replace(grid, beta=grid.beta + small_betas)
+        estimates = []
+        real_estimate = harness._estimate
+
+        def recorded(sums, beta, omega):
+            found = real_estimate(sums, beta, omega)
+            estimates.append((beta, omega, *found))
+            return found
+
+        ratios = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(harness, "_estimate", recorded)
+            monkeypatch.setattr(harness, "_FAN_OUT_MIN_SCREEN_WORK", math.inf)  # one process
+            # One screen per alpha tuple, so each recorded estimate is
+            # that of the tuple's point at the recorded beta and omega.
+            for alphas in itertools.product(grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4):
+                estimates.clear()
+                single = dict(zip(("alpha1", "alpha2", "alpha3", "alpha4"), ((alpha,) for alpha in alphas)))
+                harness._screen(columns, dataclasses.replace(grid, **single))
+                for beta, omega, estimate, bound in estimates:
+                    if bound == math.inf:
+                        continue
+                    exact = harness._report(columns, skipped, SwssParams(*alphas, beta, omega), base).average
+                    gap = abs(estimate - exact)
+                    assert gap <= bound, (alphas, beta, omega, estimate, exact, bound)
+                    ratios.append(gap / bound)
+        if ratios:
+            target(max(ratios), label="gap over bound")
 
 
 def write_shared_corpus(dest, n_segments=6, systems=3, seed=0):
