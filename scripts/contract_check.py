@@ -3,21 +3,24 @@
 
     python3 scripts/contract_check.py REF
     python3 scripts/contract_check.py REF --expect-change tune
+    python3 scripts/contract_check.py REF --python python3.10 --python python3.13
 
 The script exports REF's ``src/`` with ``git archive`` and writes the
 benchmark corpora (``perfbench/corpus.py``) of every workload for seeds
-1-3 once. With the running interpreter it then runs, once on REF's
-``src/`` and once on the working tree's:
+1-3 once. With each interpreter that a ``--python PATH`` names (by
+default the running one) it then runs, once on REF's ``src/`` and once
+on the working tree's:
 
 - ``swss evaluate --ablation all --out`` and ``swss tune --out`` on each
   corpus, with the corpus's base metric and grid;
 - ``swss score`` on the two ``tests/data`` figure fixtures, and
   ``swss inspect`` and ``swss inspect --json`` on each of them.
 
-It prints one table: per run, the sha256 digests of stdout, stderr and
-the ``--out`` file, and the exit code, each as REF's, or as REF's and
-then the working tree's where they differ. It exits 1 if any run's
-outputs differ, unless every run that differs is named by an
+It prints one table: per run and interpreter, the sha256 digests of
+stdout, stderr and the ``--out`` file, and the exit code, each as REF's,
+or as REF's and then the working tree's where they differ. It exits 1 if
+any run's outputs differ under any interpreter, unless every run that
+differs is named by an
 ``--expect-change NAME``: NAME names a run by its full name
 (``da-bleu/1/tune``) or by one part of it (``da-bleu``, ``1``,
 ``tune``, ``fixtures``). Only the standard library is used.
@@ -93,12 +96,25 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def outputs(src: Path, args: list, out: Path, cwd: Path) -> dict:
-    """The digests of one ``swss`` run on the package in ``src``, and its
-    exit code."""
+def version(python: str) -> str:
+    """The version of the interpreter ``python``, or "" if it does not
+    run."""
+    try:
+        proc = subprocess.run(
+            [python, "-c", "import platform; print(platform.python_version())"],
+            capture_output=True, text=True, check=False,
+        )
+    except OSError:
+        return ""
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def outputs(src: Path, python: str, args: list, out: Path, cwd: Path) -> dict:
+    """The digests of one ``swss`` run by ``python`` on the package in
+    ``src``, and its exit code."""
     out.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    command = [sys.executable, "-m", "swss.cli", *(str(out) if arg == "OUT" else arg for arg in args)]
+    command = [python, "-m", "swss.cli", *(str(out) if arg == "OUT" else arg for arg in args)]
     proc = subprocess.run(command, cwd=cwd, env=env, capture_output=True, check=False)
     return {
         "stdout": digest(proc.stdout),
@@ -114,7 +130,15 @@ def main(argv: list) -> int:
     parser.add_argument(
         "--expect-change", action="append", default=[], metavar="NAME", help="a run, or part of a run name, that may differ"
     )
+    parser.add_argument(
+        "--python", action="append", default=[], metavar="PATH", help="an interpreter to run swss with (repeatable)"
+    )
     args = parser.parse_args(argv)
+    pythons = {}  # interpreter: its version
+    for python in args.python or [sys.executable]:
+        pythons[python] = version(python)
+        if not pythons[python]:
+            parser.error(f"--python {python!r} does not run")
 
     with tempfile.TemporaryDirectory(prefix="contract-") as tmp:
         tmp = Path(tmp)
@@ -125,24 +149,32 @@ def main(argv: list) -> int:
         if unknown:
             parser.error(f"--expect-change {unknown[0]!r} names no run")
         width = max(map(len, runs))
-        print(f"{'run':<{width}}  " + "  ".join(f"{stream:<12}" for stream in STREAMS))
+        python_width = max(len("python"), *map(len, pythons.values()))
+        print(f"{'run':<{width}}  {'python':<{python_width}}  " + "  ".join(f"{stream:<12}" for stream in STREAMS))
         changed = []
         for name, run_args in runs.items():
-            # Both trees write the same --out path from the same directory,
-            # so no output differs by where it was made.
-            found = {tree: outputs(src, run_args, tmp / "out.json", tmp) for tree, src in trees.items()}
-            cells = []
-            for stream in STREAMS:
-                ref, work = found["ref"][stream], found["work"][stream]
-                cells.append(f"{ref:<12}" if ref == work else f"{ref} -> {work}")
-            differs = found["ref"] != found["work"]
-            if differs:
-                changed.append(name)
-            print(f"{name:<{width}}  " + "  ".join(cells) + ("  CHANGED" if differs else ""), flush=True)
+            for python, python_version in pythons.items():
+                # Both trees write the same --out path from the same
+                # directory, so no output differs by where it was made.
+                found = {tree: outputs(src, python, run_args, tmp / "out.json", tmp) for tree, src in trees.items()}
+                cells = []
+                for stream in STREAMS:
+                    ref, work = found["ref"][stream], found["work"][stream]
+                    cells.append(f"{ref:<12}" if ref == work else f"{ref} -> {work}")
+                differs = found["ref"] != found["work"]
+                if differs and name not in changed:
+                    changed.append(name)
+                print(
+                    f"{name:<{width}}  {python_version:<{python_width}}  " + "  ".join(cells)
+                    + ("  CHANGED" if differs else ""),
+                    flush=True,
+                )
 
     expected = set(args.expect_change)
     unexpected = [name for name in changed if not expected & {name, *name.split("/")}]
-    print(f"{len(changed)} of {len(runs)} runs changed; {len(unexpected)} not expected")
+    print(
+        f"{len(changed)} of {len(runs)} runs changed under {len(pythons)} interpreter(s); {len(unexpected)} not expected"
+    )
     return 1 if unexpected else 0
 
 

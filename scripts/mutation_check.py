@@ -52,6 +52,7 @@ GRID_ORACLE = "tests/test_harness.py::TestGridSearchOracle"
 SHARED_FILES = "tests/test_harness.py::TestSharedFiles"
 WORKER_POOL = "tests/test_harness.py::TestWorkerPool"
 SPLIT_SCREEN = "tests/test_harness.py::TestSplitScreen"
+PREPARED = "tests/test_harness.py::TestPrepared"
 MEMORY_RULE = "test_features_are_kept_only_while_their_group_is_scored"
 # The caller's merge of one child's results: both phases depend on it.
 CHILD_RESULTS_MERGED = "            done.update(marshal.loads(task) for task in marshal.loads(data))\n"
@@ -84,7 +85,7 @@ MUTATIONS = (
     Mutation(
         "pair-drop-unwarned",
         HARNESS,
-        "    for lang_pair in sorted(skips.keys() - rows.keys()):\n",
+        "    for lang_pair in sorted(skipped_in.keys() - rows.keys()):\n",
         "    for lang_pair in ():\n",
         ("tests/test_harness.py::TestDroppedPair",),
     ),
@@ -165,10 +166,11 @@ MUTATIONS = (
     Mutation(  # the reference is loaded, and the candidate's message returned
         "cache-failed-candidates-reference-not-skipped",
         HARNESS,
-        "        if isinstance(found, str):\n            return found\n        graphs.append(found)\n",
+        "        if isinstance(found, str):\n            return loads, str(path), found\n        graphs.append(found)\n",
         "        graphs.append(found)\n"
-        "    if any(isinstance(found, str) for found in graphs):\n"
-        "        return next(found for found in graphs if isinstance(found, str))\n",
+        "    for path, found in zip((record.candidate_ucca, record.reference_ucca), graphs):\n"
+        "        if isinstance(found, str):\n"
+        "            return loads, str(path), found\n",
         (f"{SHARED_FILES}::{MEMORY_RULE}",),
     ),
     Mutation(
@@ -182,17 +184,17 @@ MUTATIONS = (
         "record-error-ends-its-task",
         HARNESS,
         "                try:\n"
-        "                    outcome = _score_record(records[i], loaded, shared, params, base, not strict)\n"
+        "                    result = _score_record(records[i], loaded, shared, params, base, not strict)\n"
         "                except Exception as exc:\n"
-        "                    outcome = exc\n",
-        "                outcome = _score_record(records[i], loaded, shared, params, base, not strict)\n",
+        "                    result = 0, None, exc\n",
+        "                result = _score_record(records[i], loaded, shared, params, base, not strict)\n",
         (f"{WORKER_POOL}::test_first_error_in_record_order_wins_over_group_order",),
     ),
     Mutation(
         "pool-merge-in-arrival-order",
         HARNESS,
-        "            outcomes[i] = outcome\n",
-        "            outcomes[outcomes.index(None)] = outcome\n",
+        "            outcomes[i] = failed, outcome\n",
+        "            outcomes[outcomes.index(None)] = failed, outcome\n",
         (
             f"{WORKER_POOL}::test_first_error_in_record_order_wins_over_group_order",
             f"{WORKER_POOL}::test_first_error_in_record_order_wins",
@@ -259,6 +261,22 @@ MUTATIONS = (
         "                sent.append(marshal.dumps((n, [])))\n",
         (f"{WORKER_POOL}::test_fault_only_in_children_gives_the_serial_output",),
     ),
+    Mutation(  # a child's outcomes arrive without the files their scoring loaded
+        "prepared-child-loads-dropped",
+        FANOUT,
+        CHILD_RESULTS_MERGED,
+        "            done.update((n, [(i, 0, *rest) for i, _, *rest in items])"
+        " for n, items in map(marshal.loads, marshal.loads(data)))\n",
+        (PREPARED,),
+    ),
+    Mutation(  # each task that no child sent is run here twice, and both runs are returned
+        "prepared-rerun-counted-twice",
+        FANOUT,
+        "    return [done[n] if n in done else _task_results(run, n) for n in range(count)]\n",
+        "    rerun = [_task_results(run, n) for n in range(count) if n not in done]\n"
+        "    return [done[n] if n in done else _task_results(run, n) for n in range(count)] + rerun\n",
+        (PREPARED,),
+    ),
     Mutation(
         "fan-out-fork-error-raised",
         FANOUT,
@@ -319,7 +337,7 @@ MUTATIONS = (
         "tune-report-of-the-default-point",
         HARNESS,
         "    return best\n",
-        "    return replace(_report(columns, skipped, SwssParams(), base), params=best.params)\n",
+        "    return replace(_report(prepared, SwssParams(), base), params=best.params)\n",
         ("tests/test_cli.py::TestTune::test_out_file_is_what_evaluate_params_reads",),
     ),
     Mutation(

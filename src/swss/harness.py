@@ -13,6 +13,7 @@ import logging
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -232,7 +233,8 @@ class _Columns(NamedTuple):
     # One language pair's segments, one list per quantity that does not
     # depend on the six scalar parameters, so tuning can sweep them
     # without re-parsing graphs. f1 is 0 on fallback segments, where
-    # omega stands in for it.
+    # omega stands in for it; record is the index of the record behind
+    # each entry.
     base: list
     human: list
     f1: list
@@ -241,6 +243,18 @@ class _Columns(NamedTuple):
     p_node: list
     p_edge: list
     len_penalty: list
+    record: list
+
+
+class _Prepared(NamedTuple):
+    # What the record phase leaves for the reports: the columns of each
+    # language pair, the pairs in sorted order; (record index, path of the
+    # graph that failed, its GraphError's message) of each skipped record,
+    # in record order; and the number of graph files loaded, over all
+    # processes.
+    columns: dict[str, _Columns]
+    skips: list[tuple[int, str, str]]
+    files_loaded: int
 
 
 def _partition(records: Sequence[SegmentRecord], count: int) -> tuple[list[list[list[int]]], set]:
@@ -285,19 +299,22 @@ def _partition(records: Sequence[SegmentRecord], count: int) -> tuple[list[list[
 def _score_record(
     record: SegmentRecord, loaded: dict, shared: set,
     params: SwssParams, base: Union[str, ExternalScoreTable], lenient: bool,
-) -> Union[tuple, str]:
-    """One record's column values, or the message of the GraphError of a
-    graph it names, the candidate's first: a failed candidate's reference
-    is not loaded.
+) -> tuple[int, Optional[str], Union[tuple, str]]:
+    """The number of files this call loaded, then ``None`` and the
+    record's column values, or the path of the graph that failed, as a
+    str, and its GraphError's message. The candidate is loaded first: a
+    failed candidate's reference is not loaded.
 
     A file is loaded on first need, and its features, or its GraphError's
     message, are kept in ``loaded``, the dict of the record's group, only
     if the file is in ``shared``. So a file named once is never kept, and
     a shared file is kept until its group has been scored."""
+    loads = 0
     graphs = []
     for path in (record.candidate_ucca, record.reference_ucca):
         found = loaded.get(path)
         if found is None:
+            loads += 1
             try:
                 found = GraphFeatures.of(load_graph(path, lenient=lenient))
             except GraphError as exc:
@@ -305,7 +322,7 @@ def _score_record(
             if path in shared:
                 loaded[path] = found
         if isinstance(found, str):
-            return found
+            return loads, str(path), found
         graphs.append(found)
     candidate, reference = graphs
     if isinstance(base, ExternalScoreTable):
@@ -313,21 +330,26 @@ def _score_record(
     else:
         base_score = sentence_bleu(candidate.tokens, reference.tokens)
     scored = score_from_features(candidate, reference, params)
-    return (
+    return loads, None, (
         base_score, record.human_score, 0.0 if scored.fallback_used else scored.f1, scored.fallback_used,
         scored.p_scene, scored.p_node, scored.p_edge, scored.len_penalty,
     )
 
 
-# Below this many records, scoring stays in the calling process. A worker
-# process costs about 0.5 ms to start and its round trip about 2 ms, but
-# on 2 CPUs records of JSON graphs with a TSV base, the cheapest to score,
-# break even only near 50 records; from 75 on, every kind measured gains.
+# Below this many records, scoring stays in the calling process. Timed
+# by scripts/fanout_sizes.py in fresh processes on a 2-vCPU x86_64 host
+# with Python 3.11 (medians of 9): fanned out, the benchmark corpora's
+# records took 1.11-1.23 times the serial time at 24 records of JSON or
+# mixed graphs (0.87 times for XML graphs), 0.74-0.93 times at 72
+# records and 0.60-0.75 times at 600. No size between 24 and 72 records
+# was timed, so the break-even is not known; 75 stays until it is.
 _FAN_OUT_MIN_RECORDS = 75
 # Below this many alpha tuples times segments, the grid screen stays in
-# the calling process. The sweep costs about 0.5 us per unit and a round
-# of worker processes about 2.5 ms; on 2 CPUs the split screen breaks
-# even at 40,000 to 50,000 units.
+# the calling process. In the same run the serial screen took 0.32-0.41
+# us per unit; fanned out, it took 1.8-2.2 times the serial time at about
+# 9,200 units (a 64-point grid over 572 or 576 segments) and 0.77 times
+# at 94,208 (3,072 points over 368 segments). No size in between was
+# timed, so the break-even is not known; 50,000 stays until it is.
 _FAN_OUT_MIN_SCREEN_WORK = 50_000
 
 
@@ -336,9 +358,8 @@ def _prepare_segments(
     params: SwssParams,
     base: Union[str, ExternalScoreTable],
     strict: bool,
-) -> tuple[dict[str, _Columns], int]:
-    """The columns of each language pair, the pairs in sorted order, and
-    the number of records skipped."""
+) -> _Prepared:
+    """Score every record once, into the value every report reads."""
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
     # Imported here, so that ``import swss`` does not load it.
@@ -352,40 +373,49 @@ def _prepare_segments(
             loaded: dict = {}
             for i in group:
                 try:
-                    outcome = _score_record(records[i], loaded, shared, params, base, not strict)
+                    result = _score_record(records[i], loaded, shared, params, base, not strict)
                 except Exception as exc:
-                    outcome = exc
-                yield i, outcome
+                    result = 0, None, exc
+                yield (i, *result)
 
-    # Every record has an outcome, whichever order its task scored it in.
+    # Every record has an outcome, whichever order its task scored it in,
+    # and its loads come with it: a task that a child could not send is
+    # run again here, and only that run is counted.
     outcomes: list = [None] * len(records)
+    files_loaded = 0
     for results in forked_results(run, len(tasks), processes):
-        for i, outcome in results:
-            outcomes[i] = outcome
+        for i, loads, failed, outcome in results:
+            outcomes[i] = failed, outcome
+            files_loaded += loads
     rows: dict[str, list[tuple]] = {}
-    skips: dict[str, int] = {}  # records skipped per language pair
+    skips: list[tuple[int, str, str]] = []
     # In record order, so the first error raised and the warnings are
     # those of one pass over the records, whoever scored them.
-    for record, outcome in zip(records, outcomes):
-        if isinstance(outcome, str):  # a GraphError's message
-            if strict:
-                raise DatasetError(f"record {record.label}: {outcome}") from None
-            skips[record.lang_pair] = skips.get(record.lang_pair, 0) + 1
-            logger.warning("skipping record %s: %s", record.label, outcome)
-        elif isinstance(outcome, Exception):
+    for i, (record, (failed, outcome)) in enumerate(zip(records, outcomes)):
+        if isinstance(outcome, Exception):
             raise outcome
-        else:
-            rows.setdefault(record.lang_pair, []).append(outcome)
-    skipped = sum(skips.values())
-    if skipped:
-        logger.warning("skipped %d record(s) with invalid UCCA parses", skipped)
-    for lang_pair in sorted(skips.keys() - rows.keys()):
+        if failed is None:
+            rows.setdefault(record.lang_pair, []).append((*outcome, i))
+            continue
+        if strict:
+            raise DatasetError(f"record {record.label}: {outcome}") from None
+        skips.append((i, failed, outcome))
+        logger.warning("skipping record %s: %s", record.label, outcome)
+    if skips:
+        logger.warning("skipped %d record(s) with invalid UCCA parses", len(skips))
+    skipped_in = Counter(records[i].lang_pair for i, _, _ in skips)
+    for lang_pair in sorted(skipped_in.keys() - rows.keys()):
         logger.warning(
-            "language pair %s left out of the report: all %d of its record(s) were skipped", lang_pair, skips[lang_pair]
+            "language pair %s left out of the report: all %d of its record(s) were skipped",
+            lang_pair, skipped_in[lang_pair],
         )
     if not rows:
         raise DatasetError("no segments could be evaluated")
-    return {lang_pair: _Columns(*map(list, zip(*rows[lang_pair]))) for lang_pair in sorted(rows)}, skipped
+    return _Prepared(
+        columns={lang_pair: _Columns(*map(list, zip(*rows[lang_pair]))) for lang_pair in sorted(rows)},
+        skips=skips,
+        files_loaded=files_loaded,
+    )
 
 
 def _combined(pair: _Columns, params: SwssParams) -> list[float]:
@@ -405,13 +435,11 @@ def _mean(values) -> float:
     return math.fsum(values) / len(values)
 
 
-def _report(
-    columns: Mapping[str, _Columns], skipped: int, params: SwssParams, base: Union[str, ExternalScoreTable]
-) -> CorrelationReport:
-    """The report of ``params`` on the prepared ``columns``."""
+def _report(prepared: _Prepared, params: SwssParams, base: Union[str, ExternalScoreTable]) -> CorrelationReport:
+    """The report of ``params`` on the ``prepared`` records."""
     per_pair: dict[str, float] = {}
     base_per_pair: dict[str, Optional[float]] = {}
-    for lang_pair, pair in columns.items():
+    for lang_pair, pair in prepared.columns.items():
         try:
             per_pair[lang_pair] = pearson(_combined(pair, params), pair.human)
         except ValueError as exc:
@@ -426,8 +454,8 @@ def _report(
         base_per_pair=base_per_pair,
         average=_mean(per_pair.values()),
         base_average=_mean(defined) if len(defined) == len(base_per_pair) else None,
-        n={lang_pair: len(pair.human) for lang_pair, pair in columns.items()},
-        skipped=skipped,
+        n={lang_pair: len(pair.human) for lang_pair, pair in prepared.columns.items()},
+        skipped=len(prepared.skips),
         params=params,
         base_name=base if isinstance(base, str) else base.metric_name,
     )
@@ -447,8 +475,8 @@ def _reports(
         raise DatasetError("no records to evaluate")
     params = params if params is not None else SwssParams()
     ablated = [apply_ablation(params, ablation) for ablation in ablations]
-    columns, skipped = _prepare_segments(records, params, base, strict)
-    return [_report(columns, skipped, effective, base) for effective in ablated]
+    prepared = _prepare_segments(records, params, base, strict)
+    return [_report(prepared, effective, base) for effective in ablated]
 
 
 def evaluate(
@@ -705,12 +733,12 @@ def _tuned(
     if not records:
         raise DatasetError("no records to tune on")
     logger.info("grid search over %d parameter points on %d records", grid.size, len(records))
-    columns, skipped = _prepare_segments(records, SwssParams(), base, strict)
+    prepared = _prepare_segments(records, SwssParams(), base, strict)
 
-    candidates = _screen(columns, grid)
+    candidates = _screen(prepared.columns, grid)
     # Of equal averages, max keeps the first: the smallest vector.
     best = max(
-        (_report(columns, skipped, SwssParams(*vector), base) for vector in candidates),
+        (_report(prepared, SwssParams(*vector), base) for vector in candidates),
         key=lambda report: report.average,
     )
     logger.info(

@@ -49,6 +49,19 @@ class TestMutationTable:
 # oracles reads them, and the vocabulary conformance test checks them on
 # their own.
 ALLOWED_PRIVATE = {("swss.porter", "_STEP2_RULES"), ("swss.porter", "_STEP3_RULES"), ("swss.porter", "_STEP4_SUFFIXES")}
+# A script that times the two fanned phases on their own names them, and
+# forces their fan-out by the two thresholds; it computes nothing that a
+# user reads from swss. This is the one agreed exception, recorded in
+# ROADMAP item 9, and it is for timing only. Any other private name in a
+# script fails.
+MEASURED_PRIVATE = {
+    "fanout_sizes.py": {
+        ("harness", "_prepare_segments"),
+        ("harness", "_screen"),
+        ("harness", "_FAN_OUT_MIN_RECORDS"),
+        ("harness", "_FAN_OUT_MIN_SCREEN_WORK"),
+    },
+}
 
 
 def private_swss_names(source):
@@ -85,7 +98,8 @@ class TestOracleIndependence:
 
     @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda path: path.name)
     def test_scripts_import_no_private_library_name(self, script):
-        assert private_swss_names(script.read_text(encoding="utf-8")) == []
+        found = set(private_swss_names(script.read_text(encoding="utf-8")))
+        assert found == MEASURED_PRIVATE.get(script.name, set())
 
     @pytest.mark.parametrize(
         "source",

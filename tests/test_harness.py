@@ -777,7 +777,7 @@ class TestScreenBound:
                 rng = random.Random(seed)
                 rows = {(r.system, r.segment_id): 0.25 + jitter * rng.random() for r in records}
                 base = ExternalScoreTable("near-constant", rows)
-            columns, skipped = harness._prepare_segments(records, SwssParams(), base, False)
+            prepared = harness._prepare_segments(records, SwssParams(), base, False)
         grid = dataclasses.replace(grid, beta=grid.beta + small_betas)
         estimates = []
         real_estimate = harness._estimate
@@ -796,11 +796,11 @@ class TestScreenBound:
             for alphas in itertools.product(grid.alpha1, grid.alpha2, grid.alpha3, grid.alpha4):
                 estimates.clear()
                 single = dict(zip(("alpha1", "alpha2", "alpha3", "alpha4"), ((alpha,) for alpha in alphas)))
-                harness._screen(columns, dataclasses.replace(grid, **single))
+                harness._screen(prepared.columns, dataclasses.replace(grid, **single))
                 for beta, omega, estimate, bound in estimates:
                     if bound == math.inf:
                         continue
-                    exact = harness._report(columns, skipped, SwssParams(*alphas, beta, omega), base).average
+                    exact = harness._report(prepared, SwssParams(*alphas, beta, omega), base).average
                     gap = abs(estimate - exact)
                     assert gap <= bound, (alphas, beta, omega, estimate, exact, bound)
                     ratios.append(gap / bound)
@@ -1639,6 +1639,66 @@ class TestWorkerPool:
         assert warning.endswith(f"running with {len(pids) + 1} process(es)")
 
 
+@pytest.fixture(scope="module")
+def failed_candidate_records(tmp_path_factory):
+    """A shared corpus of 3 segments and 2 systems. The first record's
+    candidate is corrupt, and its reference is loaded only for a later
+    record, whose candidate is good; both candidates of segment 2 are
+    corrupt, so its reference is never loaded."""
+    records = write_shared_corpus(tmp_path_factory.mktemp("failed-candidates"), n_segments=3, systems=2, seed=2)
+    for i in (0, 2, 5):
+        records[i].candidate_ucca.write_text("{not json")
+    assert records[0].reference_ucca == records[3].reference_ucca
+    assert [r.reference_ucca for r in records].count(records[2].reference_ucca) == 2
+    return records
+
+
+def prepared_per_record(records):
+    """The rows, skips and number of files loaded of a lenient run, from
+    each record's own loads: a record whose candidate fails does not load
+    its reference, and a file is counted once however many records load
+    it."""
+    rows, skips, loaded = {}, [], set()
+    for i, record in enumerate(records):
+        for path in (record.candidate_ucca, record.reference_ucca):
+            loaded.add(path)
+            found = result_or_error(load_graph, path, lenient=True)
+            if isinstance(found, tuple):  # (error type, message)
+                skips.append((i, str(path), found[1]))
+                break
+        else:
+            rows.setdefault(record.lang_pair, []).append(i)
+    return dict(sorted(rows.items())), skips, len(loaded)
+
+
+class TestPrepared:
+    """The record phase hands the reports the record behind each column
+    entry, each skipped record's failed file and message, and the number
+    of files loaded by every process together, whoever scored a task."""
+
+    @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records", "failed_candidate_records"])
+    @pytest.mark.parametrize("mode", ["serial", "fanned", "rerun"])
+    def test_rows_skips_and_loads_match_per_record_oracle(self, request, fixture, mode):
+        records = request.getfixturevalue(fixture)
+        rows, skips, files_loaded = prepared_per_record(records)
+        if mode != "serial":
+
+            def child(n, record):
+                if mode == "rerun":  # the child's task is not sent, so the caller runs it again
+                    raise TypeError(threading.Lock())
+
+            pids = request.getfixturevalue("fan_out")(child=child)
+        prepared = harness._prepare_segments(records, SwssParams(), "bleu", False)
+        if mode != "serial":
+            assert len(pids) == 1
+        assert {lang_pair: pair.record for lang_pair, pair in prepared.columns.items()} == rows
+        assert prepared.skips == skips
+        assert prepared.files_loaded == files_loaded
+        assert list(prepared.columns) == list(rows)
+        for lang_pair, indices in rows.items():
+            assert prepared.columns[lang_pair].human == [records[i].human_score for i in indices]
+
+
 class TestSplitScreen:
     """The grid screen, split into tasks over forked processes, gives the
     serial screen's candidates in the serial order, and so the same
@@ -1667,7 +1727,7 @@ class TestSplitScreen:
     ):
         with tempfile.TemporaryDirectory() as tmp:
             records, base = oracle_case(tmp, n_segments, two_pairs, noise, self_pairs, constant_base, seed)
-            columns, _ = harness._prepare_segments(records, SwssParams(), base, False)
+            columns = harness._prepare_segments(records, SwssParams(), base, False).columns
             serial = harness._screen(columns, grid)
             expected = outcome(grid_search_per_record, records, grid, base)
             counts = []
