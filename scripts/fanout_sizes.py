@@ -6,7 +6,7 @@ the sizes around the fan-out thresholds.
 
 The script writes the benchmark corpora (``perfbench/corpus.py``) into a
 temporary directory: for each workload shape, one corpus per
-``segments_per_pair`` in 1, 3, 6, 12 and 25 (24 to 600 records), each
+``segments_per_pair`` in 1, 2, 3, 6, 12 and 25 (24 to 600 records), each
 a shape derived from the workload's and registered in this process
 only, and the workload's own corpus for seed 1. Then, for each case, it
 starts fresh child processes in turn, serial and fanned out, and each
@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (1, 3, 6, 12, 25)  # segments_per_pair: 3 language pairs of 8 systems each
+SIZES = (1, 2, 3, 6, 12, 25)  # segments_per_pair: 3 language pairs of 8 systems each
 SEED = 1
 REPEATS = 9  # serial and fanned runs per case
 

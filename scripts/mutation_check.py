@@ -56,6 +56,8 @@ PREPARED = "tests/test_harness.py::TestPrepared"
 MEMORY_RULE = "test_features_are_kept_only_while_their_group_is_scored"
 # The caller's merge of one child's results: both phases depend on it.
 CHILD_RESULTS_MERGED = "            done.update(marshal.loads(task) for task in marshal.loads(data))\n"
+# The caller's run of every task that no child sent, in task order.
+TASKS_RUN_HERE = "    return [done[n] if n in done else run(task) for n, task in enumerate(tasks)]\n"
 VALIDATOR_ORACLE = "tests/test_ucca_graph.py::TestValidation::test_agrees_with_reference_validator"
 XML_ORACLE = "tests/test_ucca_graph.py::TestXmlReference::test_agrees_with_reference_parser"
 
@@ -152,15 +154,17 @@ MUTATIONS = (
     Mutation(  # one dict for the whole run
         "cache-no-eviction",
         HARNESS,
-        "    def run(n: int):\n        for group in tasks[n]:\n            loaded: dict = {}\n",
-        "    kept: dict = {}\n\n    def run(n: int):\n        for group in tasks[n]:\n            loaded = kept\n",
+        "    def run(span: range) -> list:\n        results = []\n"
+        "        for group in groups[span.start : span.stop]:\n            loaded: dict = {}\n",
+        "    kept: dict = {}\n\n    def run(span: range) -> list:\n        results = []\n"
+        "        for group in groups[span.start : span.stop]:\n            loaded = kept\n",
         (f"{SHARED_FILES}::{MEMORY_RULE}",),
     ),
     Mutation(  # one dict for each task, which may hold several groups
         "cache-kept-for-the-whole-task",
         HARNESS,
-        "        for group in tasks[n]:\n            loaded: dict = {}\n",
-        "        loaded: dict = {}\n        for group in tasks[n]:\n",
+        "        for group in groups[span.start : span.stop]:\n            loaded: dict = {}\n",
+        "        loaded: dict = {}\n        for group in groups[span.start : span.stop]:\n",
         (f"{SHARED_FILES}::{MEMORY_RULE}",),
     ),
     Mutation(  # the reference is loaded, and the candidate's message returned
@@ -228,7 +232,7 @@ MUTATIONS = (
     Mutation(
         "fan-out-caller-skips-its-share",
         FANOUT,
-        "        done = {} if queue is None else _take_tasks(queue, run)\n",
+        "        done = {} if queue is None else _take_tasks(queue, run, tasks)\n",
         "        done = {}\n",
         (
             f"{WORKER_POOL}::test_workers_score_and_load_each_file_once",
@@ -248,8 +252,8 @@ MUTATIONS = (
     Mutation(
         "fan-out-missing-task-not-rerun",
         FANOUT,
-        "    return [done[n] if n in done else _task_results(run, n) for n in range(count)]\n",
-        "    return [done.get(n, []) for n in range(count)]\n",
+        TASKS_RUN_HERE,
+        "    return [done.get(n, []) for n in range(len(tasks))]\n",
         (f"{WORKER_POOL}::test_fault_only_in_children_gives_the_serial_output",),
     ),
     Mutation(
@@ -272,10 +276,27 @@ MUTATIONS = (
     Mutation(  # each task that no child sent is run here twice, and both runs are returned
         "prepared-rerun-counted-twice",
         FANOUT,
-        "    return [done[n] if n in done else _task_results(run, n) for n in range(count)]\n",
-        "    rerun = [_task_results(run, n) for n in range(count) if n not in done]\n"
-        "    return [done[n] if n in done else _task_results(run, n) for n in range(count)] + rerun\n",
+        TASKS_RUN_HERE,
+        "    rerun = [run(task) for n, task in enumerate(tasks) if n not in done]\n"
+        "    return [done[n] if n in done else run(task) for n, task in enumerate(tasks)] + rerun\n",
         (PREPARED,),
+    ),
+    Mutation(  # the tasks that no child sent run last task first
+        "fan-out-raises-the-last-failure",
+        FANOUT,
+        TASKS_RUN_HERE,
+        "    return [done[n] if n in done else run(task) for n, task in reversed(list(enumerate(tasks)))][::-1]\n",
+        (f"{WORKER_POOL}::test_fault_in_every_process_raises_like_the_serial_run",),
+    ),
+    Mutation(
+        "task-ranges-drop-the-last-unit",
+        FANOUT,
+        "    return [range(units * k // count, units * (k + 1) // count) for k in range(count)]\n",
+        "    return [range(units * k // count, (units * (k + 1) - (k == count - 1)) // count) for k in range(count)]\n",
+        (
+            f"{WORKER_POOL}::test_task_ranges_cut_the_units_in_order_into_near_equal_ranges",
+            f"{SPLIT_SCREEN}::test_matches_serial_screen",
+        ),
     ),
     Mutation(
         "fan-out-fork-error-raised",

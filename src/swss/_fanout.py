@@ -1,16 +1,18 @@
-"""Run numbered tasks in forked processes, the calling one included. A
-task is a number n and its work ``run(n)``: this module knows no records,
-files or grid points, only what a caller's ``run`` yields.
+"""Run a phase's tasks in forked processes, the calling one included. A
+task is one element of a list, such as a range of unit indices, and its
+work ``run(task)`` returns one value: this module knows no records,
+files or grid points, only those values.
 
 ``harness`` imports this module inside the two phases that use it, record
 scoring and the grid screen, so ``import swss`` does not load it. Each
-run of a phase splits its work into tasks and makes one
+run of a phase cuts its ordered units into ``task_ranges`` and makes one
 ``forked_results`` call: the caller writes every task number into one
 pipe and forks; every process then takes task numbers until the pipe is
-empty, and each child sends back, through a pipe of its own, the results
+empty, and each child sends back, through a pipe of its own, the value
 of every task that marshal can take. The caller runs any other task
-again, a dead child's included; with one process it opens no pipe, forks
-nothing and runs every task. This module imports nothing from ``swss``.
+again, a dead child's included, and so raises the first failing task's
+exception itself; with one process it opens no pipe, forks nothing and
+runs every task. This module imports nothing from ``swss``.
 """
 
 import logging
@@ -18,7 +20,7 @@ import marshal
 import os
 import sys
 import threading
-from typing import BinaryIO, Callable, Iterable, NoReturn, Optional
+from typing import Any, BinaryIO, Callable, NoReturn, Optional, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -44,45 +46,41 @@ def usable_processes(work: int, minimum: int) -> int:
     return len(os.sched_getaffinity(0))
 
 
-def task_count(processes: int) -> int:
-    """Tasks to split a phase into for ``processes`` processes, at most
-    ``MAX_TASKS``: one, all the work in order, for a single process."""
-    return 1 if processes < 2 else min(processes * TASKS_PER_PROCESS, MAX_TASKS)
+def task_ranges(units: int, processes: int) -> list[range]:
+    """``range(units)`` cut, in order, into contiguous ranges whose sizes
+    differ by at most one: about ``TASKS_PER_PROCESS`` per process, but
+    no more than ``units`` or ``MAX_TASKS``, and one of all the units for
+    a single process."""
+    count = 1 if processes < 2 else min(units, processes * TASKS_PER_PROCESS, MAX_TASKS)
+    return [range(units * k // count, units * (k + 1) // count) for k in range(count)]
 
 
-def _task_results(run: Callable[[int], Iterable], n: int) -> list:
-    """The items of ``run(n)``, ended by the exception that stopped them."""
-    items = []
-    try:
-        for item in run(n):
-            items.append(item)
-    except Exception as exc:
-        items.append(exc)
-    return items
-
-
-def _take_tasks(queue: int, run: Callable[[int], Iterable]) -> dict:
-    """``{task number: _task_results}`` of every task whose number this
-    process reads from the pipe ``queue``, until it is empty."""
+def _take_tasks(queue: int, run: Callable[[Any], Any], tasks: Sequence) -> dict:
+    """``{n: run(tasks[n])}`` of every task number n that this process
+    reads from the pipe ``queue``, until it is empty, but for the tasks
+    that raised: the caller runs those again."""
     done = {}
     while number := os.read(queue, 4):
         n = int.from_bytes(number, "little")
-        done[n] = _task_results(run, n)
+        try:
+            done[n] = run(tasks[n])
+        except Exception:
+            pass
     return done
 
 
-def _run_child(queue: int, send: int, run: Callable[[int], Iterable]) -> NoReturn:
+def _run_child(queue: int, send: int, run: Callable[[Any], Any], tasks: Sequence) -> NoReturn:
     """Run tasks from ``queue`` in a forked child, send ``(task number,
-    results)`` of each into the pipe ``send``, marshalled one by one in a
+    value)`` of each into the pipe ``send``, marshalled one by one in a
     marshalled list, and exit: never return into the caller's frames. A
-    task that raised, or whose results marshal cannot take, is not sent;
+    task that raised, or whose value marshal cannot take, is not sent;
     the caller runs it."""
     status = 1
     try:
         sent = []
-        for n, items in _take_tasks(queue, run).items():
+        for n, value in _take_tasks(queue, run, tasks).items():
             try:
-                sent.append(marshal.dumps((n, items)))
+                sent.append(marshal.dumps((n, value)))
             except ValueError:  # an object marshal cannot take, such as an exception
                 pass
         with open(send, "wb") as pipe:
@@ -92,15 +90,18 @@ def _run_child(queue: int, send: int, run: Callable[[int], Iterable]) -> NoRetur
         os._exit(status)
 
 
-def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -> list:
-    """``_task_results(run, n)`` for every task n in ``range(count)``, run
-    by this process and up to ``processes - 1`` forked children, each
-    taking tasks from one pipe until it is empty. A task's items reach the
-    caller as marshal rebuilds them. Each task is deterministic, so one
-    that no process sent (it raised, marshal cannot take its items, or its
-    child died: that logs a WARNING) runs here once every child is reaped:
-    with one process or one task, every task. Where a pipe or a fork fails,
-    the processes already there take every task. No child outlives the call."""
+def forked_results(run: Callable[[Any], Any], tasks: Sequence, processes: int) -> list:
+    """``[run(task) for task in tasks]``, run by this process and up to
+    ``processes - 1`` forked children, each taking task numbers from one
+    pipe until it is empty. A child's value reaches the caller as marshal
+    rebuilds it. Each task is deterministic, so one that no process sent
+    (it raised, marshal cannot take its value, or its child died: that
+    logs a WARNING) runs here, in task order, once every child is reaped:
+    with one process or one task, every task. So the first failing task's
+    exception is raised from this process's own run of it. Where a pipe or
+    a fork fails, the processes already there take every task. No child
+    outlives the call."""
+    count = len(tasks)
     queue = None
     children: dict[int, Optional[BinaryIO]] = {}  # pid: its result pipe, None once reaped
     try:
@@ -118,13 +119,13 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
                         os.close(send)
                         raise
                     if pid == 0:
-                        _run_child(queue, send, run)
+                        _run_child(queue, send, run, tasks)
                     os.close(send)
                     children[pid] = os.fdopen(result, "rb")
         except OSError as exc:
             logger.warning("could not start a worker process (%s); running with %d process(es)", exc, len(children) + 1)
         # Inputs reach the children through the fork; results come back by pipe.
-        done = {} if queue is None else _take_tasks(queue, run)
+        done = {} if queue is None else _take_tasks(queue, run, tasks)
         for pid, pipe in children.items():
             data = pipe.read()
             pipe.close()
@@ -145,4 +146,4 @@ def forked_results(run: Callable[[int], Iterable], count: int, processes: int) -
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return [done[n] if n in done else _task_results(run, n) for n in range(count)]
+    return [done[n] if n in done else run(task) for n, task in enumerate(tasks)]

@@ -257,13 +257,13 @@ class _Prepared(NamedTuple):
     files_loaded: int
 
 
-def _partition(records: Sequence[SegmentRecord], count: int) -> tuple[list[list[list[int]]], set]:
-    """Record indices in groups, packed into about ``count`` tasks, and the
-    set of the file paths named more than once.
+def _partition(records: Sequence[SegmentRecord]) -> tuple[list[list[int]], set]:
+    """Record indices in groups, and the set of the file paths named more
+    than once.
 
     A group is the records that name a common file, directly or through
-    other records; it lists their indices in record order, groups follow
-    the order of their first record, and a task holds whole groups, so
+    other records; it lists their indices in record order, and groups
+    follow the order of their first record. A task holds whole groups, so
     that each file is loaded once in all."""
     group = list(range(len(records)))  # union-find over record indices
 
@@ -284,16 +284,7 @@ def _partition(records: Sequence[SegmentRecord], count: int) -> tuple[list[list[
     members: dict[int, list[int]] = {}
     for i in range(len(records)):
         members.setdefault(find(i), []).append(i)
-    size = -(-len(records) // count)
-    tasks: list[list[list[int]]] = [[]]
-    filled = 0  # records in the last task
-    for indices in members.values():
-        if filled >= size:
-            tasks.append([])
-            filled = 0
-        tasks[-1].append(indices)
-        filled += len(indices)
-    return tasks, shared
+    return list(members.values()), shared
 
 
 def _score_record(
@@ -339,10 +330,10 @@ def _score_record(
 # Below this many records, scoring stays in the calling process. Timed
 # by scripts/fanout_sizes.py in fresh processes on a 2-vCPU x86_64 host
 # with Python 3.11 (medians of 9): fanned out, the benchmark corpora's
-# records took 1.11-1.23 times the serial time at 24 records of JSON or
-# mixed graphs (0.87 times for XML graphs), 0.74-0.93 times at 72
-# records and 0.60-0.75 times at 600. No size between 24 and 72 records
-# was timed, so the break-even is not known; 75 stays until it is.
+# records took 1.03-1.12 times the serial time at 24 records of JSON or
+# mixed graphs (0.60 times for XML graphs), 0.67-0.85 times at 48,
+# 0.56-0.94 times at 72 and 0.53-0.75 times at 600. So the break-even
+# lies between 24 and 48 records; 75 stays until a speed change moves it.
 _FAN_OUT_MIN_RECORDS = 75
 # Below this many alpha tuples times segments, the grid screen stays in
 # the calling process. In the same run the serial screen took 0.32-0.41
@@ -363,27 +354,29 @@ def _prepare_segments(
     if isinstance(base, str) and base != "bleu":
         raise ValueError(f"unknown base metric {base!r}; expected 'bleu' or an ExternalScoreTable")
     # Imported here, so that ``import swss`` does not load it.
-    from ._fanout import forked_results, task_count, usable_processes
+    from ._fanout import forked_results, task_ranges, usable_processes
 
     processes = usable_processes(len(records), _FAN_OUT_MIN_RECORDS)
-    tasks, shared = _partition(records, task_count(processes))
+    groups, shared = _partition(records)
 
-    def run(n: int):
-        for group in tasks[n]:
+    def run(span: range) -> list:
+        results = []
+        for group in groups[span.start : span.stop]:
             loaded: dict = {}
             for i in group:
                 try:
                     result = _score_record(records[i], loaded, shared, params, base, not strict)
                 except Exception as exc:
                     result = 0, None, exc
-                yield (i, *result)
+                results.append((i, *result))
+        return results
 
     # Every record has an outcome, whichever order its task scored it in,
     # and its loads come with it: a task that a child could not send is
     # run again here, and only that run is counted.
     outcomes: list = [None] * len(records)
     files_loaded = 0
-    for results in forked_results(run, len(tasks), processes):
+    for results in forked_results(run, task_ranges(len(groups), processes), processes):
         for i, loads, failed, outcome in results:
             outcomes[i] = failed, outcome
             files_loaded += loads
@@ -650,31 +643,26 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
             )
         )
     # Imported here, so that ``import swss`` does not load it.
-    from ._fanout import forked_results, task_count, usable_processes
+    from ._fanout import forked_results, task_ranges, usable_processes
 
     total = math.prod(map(len, alphas))
     processes = usable_processes(total * sum(len(pair.dh) for pair in pairs), _FAN_OUT_MIN_SCREEN_WORK)
-    count = min(total, task_count(processes))
-    spans = [(total * k // count, total * (k + 1) // count) for k in range(count)]
-    results = forked_results(lambda n: _screen_sweep(pairs, grid, spans[n]), count, processes)
-    for result in results:
-        if isinstance(result[-1], Exception):
-            raise result[-1]
+    results = forked_results(functools.partial(_screen_sweep, pairs, grid), task_ranges(total, processes), processes)
     lower = max(task_lower for task_lower, _ in results)
     return [vector for _, candidates in results for upper, vector in candidates if upper >= lower]
 
 
-def _screen_sweep(pairs: list[_PairSums], grid: "TuneGrid", span: tuple) -> tuple[float, list]:
+def _screen_sweep(pairs: list[_PairSums], grid: "TuneGrid", span: range) -> tuple[float, list]:
     """The best lower bound on the exact objective of the grid points whose
-    alpha tuples lie in ``range(*span)``, a contiguous range of alpha-tuple
-    indices in lexicographic order, and, in that order, ``(upper bound,
-    vector)`` of those points that may reach it.
+    alpha tuples lie in ``span``, a contiguous range of alpha-tuple indices
+    in lexicographic order, and, in that order, ``(upper bound, vector)``
+    of those points that may reach it.
 
     A sweep over part of the grid prunes with its own best lower bound,
     which is never above the best of the whole grid, so the candidates of
     sweeps over contiguous parts, joined in order and kept where they
     reach the best of all, are those of one sweep over the whole grid."""
-    sweeps = [_alpha_sweep(pair.f1, pair.tables, *span) for pair in pairs]
+    sweeps = [_alpha_sweep(pair.f1, pair.tables, span.start, span.stop) for pair in pairs]
     lower = -math.inf  # the best lower bound on any point's exact objective
     candidates: list[tuple[float, tuple]] = []
     prune_at = 64

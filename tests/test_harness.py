@@ -1085,7 +1085,7 @@ def fan_out(monkeypatch):
         # Children forked that have not read a task yet, and those that
         # have and wait to go on.
         parent, waiting, held, me = os.getpid(), [0], [0], {}
-        real_fork, take_tasks, run_task = os.fork, _fanout._take_tasks, _fanout._task_results
+        real_fork, take_tasks = os.fork, _fanout._take_tasks
         step = getattr(harness, STEP_OF_PHASE[phase])
 
         def fork():
@@ -1102,28 +1102,31 @@ def fan_out(monkeypatch):
             # run of a phase has read a task.
             while waiting[0]:
                 if not select.select([read_r], [], [], 10)[0]:
-                    raise AssertionError("a forked child read no task")
+                    pytest.fail("a forked child read no task")
                 count = len(os.read(read_r, waiting[0]))
                 waiting[0] -= count
                 held[0] += count
 
-        def take(queue, run):
+        def take(queue, run, tasks):
             if os.getpid() == parent and children_first:
                 gather()
-            return take_tasks(queue, run)
 
-        def task_results(run, n):
-            if os.getpid() == parent:
-                gather()
-                os.write(go_w, b"x" * held[0])
-                held[0] = 0
-            elif not me.get("met"):
-                me["met"] = True
-                os.write(read_w, b"x")
-                if not select.select([go_r], [], [], 10)[0]:
-                    raise AssertionError("the caller read no task")
-                os.read(go_r, 1)
-            return run_task(run, n)
+            # A failed handshake ends the process's run: pytest.fail raises
+            # an exception that a task's capture does not catch.
+            def met(task):
+                if os.getpid() == parent:
+                    gather()
+                    os.write(go_w, b"x" * held[0])
+                    held[0] = 0
+                elif not me.get("met"):
+                    me["met"] = True
+                    os.write(read_w, b"x")
+                    if not select.select([go_r], [], [], 10)[0]:
+                        pytest.fail("the caller read no task")
+                    os.read(go_r, 1)
+                return run(task)
+
+            return take_tasks(queue, met, tasks)
 
         def stepped(first, *args):
             if os.getpid() == parent:
@@ -1135,7 +1138,6 @@ def fan_out(monkeypatch):
 
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(_fanout, "_take_tasks", take)
-        monkeypatch.setattr(_fanout, "_task_results", task_results)
         monkeypatch.setattr(harness, STEP_OF_PHASE[phase], stepped)
         return pids
 
@@ -1288,13 +1290,13 @@ class TestWorkerPool:
         assert serial[0] is error
         assert "'sys0', segment 0" in serial[1] if fault == "tsv-row" else records[0].candidate_ucca.name in serial[1]
 
-        tasks, _ = harness._partition(records, 8)
-        assert tasks[0][0][0] == 0 and 17 in tasks[-1][-1]
+        groups, _ = harness._partition(records)
+        assert groups[0][0] == 0 and 17 in groups[-1]
         partition = harness._partition
 
-        def reversed_partition(records, count):
-            tasks, shared = partition(records, count)
-            return tasks[::-1], shared
+        def reversed_partition(records):
+            groups, shared = partition(records)
+            return groups[::-1], shared
 
         monkeypatch.setattr(harness, "_partition", reversed_partition)
         log = tmp_path / "scored"
@@ -1457,8 +1459,8 @@ class TestWorkerPool:
         pids = fan_out(processes=2 if where == "caller" else 3, child=child, caller=caller, phase=phase)
         take_tasks, parent = _fanout._take_tasks, os.getpid()
 
-        def take_tasks_then_interrupt(queue, run):
-            done = take_tasks(queue, run)
+        def take_tasks_then_interrupt(queue, run, tasks):
+            done = take_tasks(queue, run, tasks)
             if os.getpid() == parent:
                 signal.setitimer(signal.ITIMER_REAL, 0.2)
             return done
@@ -1513,10 +1515,10 @@ class TestWorkerPool:
         # whole grid.
         run_tasks = _fanout.forked_results
 
-        def counted_tasks(run, count, processes):
+        def counted_tasks(run, tasks, processes):
             calls["phase"] += 1
-            calls["task"] += count
-            return run_tasks(run, count, processes)
+            calls["task"] += len(tasks)
+            return run_tasks(run, tasks, processes)
 
         monkeypatch.setattr(_fanout, "forked_results", counted_tasks)
         monkeypatch.setattr(harness, "_screen_sweep", counted("sweep", harness._screen_sweep))
@@ -1550,22 +1552,28 @@ class TestWorkerPool:
         assert set(pids) == {os.getpid()}
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40),
-        st.integers(1, 12),
-    )
-    def test_tasks_partition_records_and_keep_shared_files_together(self, pairs, count):
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40))
+    def test_tasks_partition_records_and_keep_shared_files_together(self, pairs):
         records = [
             harness.SegmentRecord("aa-en", "sys", i, Path(f"{c}.json"), Path(f"{r}.json"), 0.0)
             for i, (c, r) in enumerate(pairs)
         ]
-        tasks, shared = harness._partition(records, count)
-        assert 1 <= len(tasks) <= count and all(tasks)
-        # Whole groups in record order, each group in record order.
-        groups = [group for task in tasks for group in task]
+        groups, shared = harness._partition(records)
+        # Groups in record order, each group in record order.
         assert groups == sorted(map(sorted, set(file_groups(records))))
         named = Counter(p for r in records for p in (r.candidate_ucca, r.reference_ucca))
         assert shared == {p for p, n in named.items() if n > 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5000), st.integers(1, 128))
+    def test_task_ranges_cut_the_units_in_order_into_near_equal_ranges(self, units, processes):
+        ranges = _fanout.task_ranges(units, processes)
+        assert [r.start for r in ranges] == [0, *(r.stop for r in ranges[:-1])] and ranges[-1].stop == units
+        sizes = {len(r) for r in ranges}
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert len(ranges) <= min(units, _fanout.MAX_TASKS)
+        if processes == 1:
+            assert ranges == [range(units)]
 
     def test_import_starts_no_process_machinery(self, tmp_path):
         code = (
@@ -1735,10 +1743,10 @@ class TestSplitScreen:
                 force_fan_out(monkeypatch, processes, ("screen",))
                 run_tasks = _fanout.forked_results
 
-                def counted(run, count, n):
+                def counted(run, tasks, n):
                     if n > 1:  # record scoring runs in one process here
-                        counts.append(count)
-                    return run_tasks(run, count, n)
+                        counts.append(len(tasks))
+                    return run_tasks(run, tasks, n)
 
                 monkeypatch.setattr(_fanout, "forked_results", counted)
                 assert harness._screen(columns, grid) == serial
@@ -1764,9 +1772,8 @@ class TestSplitScreen:
         pids = Counter(line.split(" ", 1)[0] for line in lines)
         tasks = Counter(line.split(" ", 1)[1] for line in lines)
         total = len(grid.alpha1) * len(grid.alpha2) * len(grid.alpha3) * len(grid.alpha4)
-        count = min(total, _fanout.task_count(2))
         assert len(pids) == 2 and str(os.getpid()) in pids
-        assert len(tasks) == count and set(tasks.values()) == {1}
+        assert len(tasks) == len(_fanout.task_ranges(total, 2)) and set(tasks.values()) == {1}
 
     def test_rechecks_as_many_points_as_serial_screen(self, monkeypatch, records, caplog):
         grid = TuneGrid(
