@@ -170,11 +170,11 @@ MUTATIONS = (
     Mutation(  # the reference is loaded, and the candidate's message returned
         "cache-failed-candidates-reference-not-skipped",
         HARNESS,
-        "        if isinstance(found, str):\n            return loads, str(path), found\n        graphs.append(found)\n",
+        "        if isinstance(found, str):\n            return str(path), found\n        graphs.append(found)\n",
         "        graphs.append(found)\n"
         "    for path, found in zip((record.candidate_ucca, record.reference_ucca), graphs):\n"
         "        if isinstance(found, str):\n"
-        "            return loads, str(path), found\n",
+        "            return str(path), found\n",
         (f"{SHARED_FILES}::{MEMORY_RULE}",),
     ),
     Mutation(
@@ -190,7 +190,7 @@ MUTATIONS = (
         "                try:\n"
         "                    result = _score_record(records[i], loaded, shared, params, base, not strict)\n"
         "                except Exception as exc:\n"
-        "                    result = 0, None, exc\n",
+        "                    result = None, exc\n",
         "                result = _score_record(records[i], loaded, shared, params, base, not strict)\n",
         (f"{WORKER_POOL}::test_first_error_in_record_order_wins_over_group_order",),
     ),
@@ -265,21 +265,20 @@ MUTATIONS = (
         "                sent.append(marshal.dumps((n, [])))\n",
         (f"{WORKER_POOL}::test_fault_only_in_children_gives_the_serial_output",),
     ),
-    Mutation(  # a child's outcomes arrive without the files their scoring loaded
-        "prepared-child-loads-dropped",
-        FANOUT,
-        CHILD_RESULTS_MERGED,
-        "            done.update((n, [(i, 0, *rest) for i, _, *rest in items])"
-        " for n, items in map(marshal.loads, marshal.loads(data)))\n",
+    Mutation(  # a failed candidate's reference, never loaded, is counted
+        "prepared-failed-candidates-reference-counted",
+        HARNESS,
+        "        if failed != str(record.candidate_ucca):\n",
+        "        if True:\n",
         (PREPARED,),
     ),
     Mutation(  # each task that no child sent is run here twice, and both runs are returned
-        "prepared-rerun-counted-twice",
+        "fan-out-rerun-returned-twice",
         FANOUT,
         TASKS_RUN_HERE,
         "    rerun = [run(task) for n, task in enumerate(tasks) if n not in done]\n"
         "    return [done[n] if n in done else run(task) for n, task in enumerate(tasks)] + rerun\n",
-        (PREPARED,),
+        (f"{WORKER_POOL}::test_forked_results_equal_a_serial_run",),
     ),
     Mutation(  # the tasks that no child sent run last task first
         "fan-out-raises-the-last-failure",

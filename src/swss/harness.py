@@ -235,8 +235,8 @@ class _Columns(NamedTuple):
     # without re-parsing graphs. f1 is 0 on fallback segments, where
     # omega stands in for it; record is the index of the record behind
     # each entry.
-    base: list
     human: list
+    base: list
     f1: list
     fallback: list
     p_scene: list
@@ -290,22 +290,19 @@ def _partition(records: Sequence[SegmentRecord]) -> tuple[list[list[int]], set]:
 def _score_record(
     record: SegmentRecord, loaded: dict, shared: set,
     params: SwssParams, base: Union[str, ExternalScoreTable], lenient: bool,
-) -> tuple[int, Optional[str], Union[tuple, str]]:
-    """The number of files this call loaded, then ``None`` and the
-    record's column values, or the path of the graph that failed, as a
-    str, and its GraphError's message. The candidate is loaded first: a
-    failed candidate's reference is not loaded.
+) -> tuple[Optional[str], Union[tuple, str]]:
+    """``None`` and the record's scores, or the path of the graph that
+    failed, as a str, and its GraphError's message. The candidate is
+    loaded first: a failed candidate's reference is not loaded.
 
     A file is loaded on first need, and its features, or its GraphError's
     message, are kept in ``loaded``, the dict of the record's group, only
     if the file is in ``shared``. So a file named once is never kept, and
     a shared file is kept until its group has been scored."""
-    loads = 0
     graphs = []
     for path in (record.candidate_ucca, record.reference_ucca):
         found = loaded.get(path)
         if found is None:
-            loads += 1
             try:
                 found = GraphFeatures.of(load_graph(path, lenient=lenient))
             except GraphError as exc:
@@ -313,7 +310,7 @@ def _score_record(
             if path in shared:
                 loaded[path] = found
         if isinstance(found, str):
-            return loads, str(path), found
+            return str(path), found
         graphs.append(found)
     candidate, reference = graphs
     if isinstance(base, ExternalScoreTable):
@@ -321,8 +318,8 @@ def _score_record(
     else:
         base_score = sentence_bleu(candidate.tokens, reference.tokens)
     scored = score_from_features(candidate, reference, params)
-    return loads, None, (
-        base_score, record.human_score, 0.0 if scored.fallback_used else scored.f1, scored.fallback_used,
+    return None, (
+        base_score, 0.0 if scored.fallback_used else scored.f1, scored.fallback_used,
         scored.p_scene, scored.p_node, scored.p_edge, scored.len_penalty,
     )
 
@@ -367,28 +364,31 @@ def _prepare_segments(
                 try:
                     result = _score_record(records[i], loaded, shared, params, base, not strict)
                 except Exception as exc:
-                    result = 0, None, exc
+                    result = None, exc
                 results.append((i, *result))
         return results
 
-    # Every record has an outcome, whichever order its task scored it in,
-    # and its loads come with it: a task that a child could not send is
-    # run again here, and only that run is counted.
+    # Every record has an outcome, whichever order its task scored it in.
     outcomes: list = [None] * len(records)
-    files_loaded = 0
     for results in forked_results(run, task_ranges(len(groups), processes), processes):
-        for i, loads, failed, outcome in results:
+        for i, failed, outcome in results:
             outcomes[i] = failed, outcome
-            files_loaded += loads
     rows: dict[str, list[tuple]] = {}
     skips: list[tuple[int, str, str]] = []
+    # Each file was loaded once, by whichever process scored its group:
+    # every candidate, and the reference of each record whose candidate
+    # loaded.
+    loaded_paths = set()
     # In record order, so the first error raised and the warnings are
     # those of one pass over the records, whoever scored them.
     for i, (record, (failed, outcome)) in enumerate(zip(records, outcomes)):
         if isinstance(outcome, Exception):
             raise outcome
+        loaded_paths.add(record.candidate_ucca)
+        if failed != str(record.candidate_ucca):
+            loaded_paths.add(record.reference_ucca)
         if failed is None:
-            rows.setdefault(record.lang_pair, []).append((*outcome, i))
+            rows.setdefault(record.lang_pair, []).append((record.human_score, *outcome, i))
             continue
         if strict:
             raise DatasetError(f"record {record.label}: {outcome}") from None
@@ -407,7 +407,7 @@ def _prepare_segments(
     return _Prepared(
         columns={lang_pair: _Columns(*map(list, zip(*rows[lang_pair]))) for lang_pair in sorted(rows)},
         skips=skips,
-        files_loaded=files_loaded,
+        files_loaded=len(loaded_paths),
     )
 
 
@@ -622,12 +622,10 @@ def _screen(columns: Mapping[str, _Columns], grid: "TuneGrid") -> list[tuple]:
     alphas = axes[:4]
     pairs: list[_PairSums] = []
     for pair in columns.values():
-        if len(pair.human) < 2 or max(pair.human) == min(pair.human):
-            # Pearson raises at every point, so the first one tells how.
-            return [tuple(axis[0] for axis in axes)]
         top_base = max(map(abs, pair.base))
-        if max(top_base, max(pair.human), -min(pair.human)) > _HUGE:
-            # The sums below could overflow, so every point is re-checked.
+        if max(pair.human) == min(pair.human) or max(top_base, max(pair.human), -min(pair.human)) > _HUGE:
+            # Pearson raises at every point, or the sums below could
+            # overflow: every point is re-checked.
             return list(itertools.product(*axes))
         dh = _scaled(_centred(pair.human))
         db = _centred(pair.base)

@@ -1575,6 +1575,40 @@ class TestWorkerPool:
         if processes == 1:
             assert ranges == [range(units)]
 
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("fault", [None, "raises-in-a-child", "not-marshal-able"])
+    def test_forked_results_equal_a_serial_run(self, processes, fault):
+        # One value per task, in task order, whoever ran it: a task that
+        # raised in a child, or whose value marshal cannot take, runs
+        # again in the caller, and so gives the caller's value.
+        if not hasattr(os, "fork"):
+            pytest.skip("the fan-out needs os.fork")
+        caller, (started_r, started_w) = os.getpid(), os.pipe()
+        waited = [processes < 2]  # the caller's first task waits until a child has taken one
+
+        def run(span):
+            if os.getpid() != caller:
+                os.write(started_w, b"x")
+                if fault == "raises-in-a-child":
+                    raise TypeError("only in a child")
+            elif not waited[0]:
+                waited[0] = True
+                if not select.select([started_r], [], [], 10)[0]:
+                    pytest.fail("no child took a task")
+            return span.start, [Score(n) if fault == "not-marshal-able" else float(n) for n in span]
+
+        tasks = [range(k, k + 3) for k in range(0, 30, 3)]
+        try:
+            results = _fanout.forked_results(run, tasks, processes)
+            serial = [run(task) for task in tasks]
+            assert results == serial
+            assert [list(map(type, values)) for _, values in results] == [
+                list(map(type, values)) for _, values in serial
+            ]
+        finally:
+            os.close(started_r)
+            os.close(started_w)
+
     def test_import_starts_no_process_machinery(self, tmp_path):
         code = (
             "import sys, swss\n"
@@ -1686,9 +1720,10 @@ class TestPrepared:
 
     @pytest.mark.parametrize("fixture", ["shared_records", "corrupt_shared_records", "failed_candidate_records"])
     @pytest.mark.parametrize("mode", ["serial", "fanned", "rerun"])
-    def test_rows_skips_and_loads_match_per_record_oracle(self, request, fixture, mode):
+    def test_rows_skips_and_loads_match_per_record_oracle(self, monkeypatch, tmp_path, request, fixture, mode):
         records = request.getfixturevalue(fixture)
         rows, skips, files_loaded = prepared_per_record(records)
+        log_loads(monkeypatch, tmp_path / "loads")
         if mode != "serial":
 
             def child(n, record):
@@ -1702,6 +1737,8 @@ class TestPrepared:
         assert {lang_pair: pair.record for lang_pair, pair in prepared.columns.items()} == rows
         assert prepared.skips == skips
         assert prepared.files_loaded == files_loaded
+        # The count derived from the outcomes is that of the real loads.
+        assert prepared.files_loaded == len(logged_loads(tmp_path / "loads")[1])
         assert list(prepared.columns) == list(rows)
         for lang_pair, indices in rows.items():
             assert prepared.columns[lang_pair].human == [records[i].human_score for i in indices]
@@ -1752,7 +1789,8 @@ class TestSplitScreen:
                 assert harness._screen(columns, grid) == serial
                 assert outcome(grid_search, records, grid, base) == expected
             # A pair with fewer than two distinct human scores raises at
-            # every point, and the screen returns the first one unswept.
+            # every point: the screen returns every point unswept, and the
+            # exact re-check raises at the first.
             assert bool(counts) != any(len(set(pair.human)) < 2 for pair in columns.values())
 
     def test_each_task_is_swept_once(self, monkeypatch, fan_out, records, tmp_path):
